@@ -29,10 +29,17 @@ now()
         .count();
 }
 
+/** Every plane of two responses is the same ciphertext. */
 bool
-ctEqual(const BfvCiphertext &x, const BfvCiphertext &y)
+planesEqual(const std::vector<BfvCiphertext> &x,
+            const std::vector<BfvCiphertext> &y)
 {
-    return x.a == y.a && x.b == y.b;
+    if (x.size() != y.size())
+        return false;
+    for (size_t p = 0; p < x.size(); ++p)
+        if (!(x[p].a == y[p].a && x[p].b == y[p].b))
+            return false;
+    return true;
 }
 
 } // namespace
@@ -66,7 +73,7 @@ main()
     std::printf("%8s %12s %12s %10s %10s\n", "threads", "batch sec",
                 "queries/sec", "speedup", "identical");
 
-    std::vector<BfvCiphertext> baseline;
+    std::vector<std::vector<BfvCiphertext>> baseline;
     double base_qps = 0.0;
     for (int threads : {1, 2, 4, 8}) {
         ThreadPool::setGlobalThreads(threads);
@@ -74,7 +81,7 @@ main()
         (void)processBatch(server, queries);
 
         double best = 1e100;
-        std::vector<BfvCiphertext> responses;
+        std::vector<std::vector<BfvCiphertext>> responses;
         for (int rep = 0; rep < 3; ++rep) {
             double t0 = now();
             responses = processBatch(server, queries);
@@ -89,7 +96,7 @@ main()
         } else {
             for (int i = 0; i < batch; ++i)
                 identical =
-                    identical && ctEqual(responses[i], baseline[i]);
+                    identical && planesEqual(responses[i], baseline[i]);
         }
         std::printf("%8d %12.3f %12.1f %9.2fx %10s\n", threads, best,
                     qps, qps / base_qps,

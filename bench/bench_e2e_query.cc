@@ -46,6 +46,7 @@
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "pir/session.hh"
+#include "shard/coordinator.hh"
 #include "shard/dispatcher.hh"
 
 using namespace ive;
@@ -320,10 +321,13 @@ main(int argc, char **argv)
         cfg.maxQueue = 2;
         fr.burst = 8;
         {
-            ShardDispatcher dispatcher(coord, cfg);
+            ShardDispatcher dispatcher(cfg);
             std::vector<std::future<std::vector<u8>>> futures;
             for (u64 i = 0; i < fr.burst; ++i)
-                futures.push_back(dispatcher.submit(query_blob));
+                futures.push_back(dispatcher.submit(
+                    query_blob, [&](const std::vector<u8> &b) {
+                        return coord.answer(b);
+                    }));
             dispatcher.shutdown(); // Flushes the accepted queries.
             for (auto &f : futures) {
                 try {

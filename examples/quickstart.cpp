@@ -52,7 +52,7 @@ main()
 
     // 4. Server processes the query obliviously.
     PirServer server(ctx, params, &db, keys);
-    BfvCiphertext response = server.process(query);
+    BfvCiphertext response = server.processAllPlanes(query)[0];
     std::printf("server ops: %llu Subs, %llu external products, "
                 "%llu plaintext MACs\n",
                 (unsigned long long)server.counters().subsOps,

@@ -41,6 +41,11 @@ Rules (each line reports as ``path:line: [rule] message``):
                       src/ would bypass all four. Benches and tests are
                       exempt (they drive PirTcpClient, which lives in
                       src/net/).
+  layering            The serving libraries (src/pir, src/shard,
+                      src/net) and the layers below them (src/common,
+                      src/obs) never include the accelerator
+                      simulator's headers (sim/, system/, model/), so
+                      serving never links the simulator.
 
 Escape hatch: a finding is suppressed when the flagged line, or the
 line directly above it, carries
@@ -101,6 +106,10 @@ RAW_SOCKET_RE = re.compile(
     r"(?:send|recv|sendto|recvfrom|sendmsg|recvmsg)\s*\("
     r"|(?<![A-Za-z0-9_:])::\s*(?:read|write)\s*\("
 )
+SERVING_DIRS = ("src/pir/", "src/shard/", "src/net/", "src/common/",
+                "src/obs/")
+INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
+LAYERING_RE = re.compile(r"#\s*include\s*[<\"](?:sim|system|model)/")
 GUARD_IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(IVE_\w+_HH)\s*$", re.M)
 GUARD_DEFINE_RE = re.compile(r"^\s*#\s*define\s+(IVE_\w+_HH)\s*$", re.M)
 
@@ -115,6 +124,7 @@ ALL_RULES = (
     "raw-chrono",
     "catch-all",
     "raw-socket",
+    "layering",
 )
 
 
@@ -247,6 +257,16 @@ def lint_file(f: Findings, root: Path, path: Path) -> None:
                 "through PirTcpServer/PirTcpClient so framing, "
                 "deadlines, backpressure and the net.* failpoints "
                 "apply")
+        # strip_code blanks the header name, so the path is matched on
+        # the raw line once the stripped one shows a real directive.
+        if (rel.startswith(SERVING_DIRS) and
+                INCLUDE_RE.match(code_lines[idx])):
+            check_line_rule(
+                f, rel, raw_lines, raw_lines, idx, "layering",
+                LAYERING_RE,
+                "serving code includes an accelerator-simulator header "
+                "(sim/, system/, model/); serving must not link the "
+                "simulator")
         if rel in HOT_PATH_FILES:
             check_line_rule(
                 f, rel, raw_lines, code_lines, idx, "hot-path-alloc",
@@ -382,6 +402,25 @@ def self_test() -> int:
         ("src/x.cc", "reader.read(buf);\n", None),
         ("src/x.cc", "io::write(sink, bytes);\n", None),
         ("tests/t.cc", "::send(fd, p, len, 0);\n", None),
+        # Serving code stays off the simulator.
+        ("src/shard/x.cc", '#include "system/batch_scheduler.hh"\n',
+         "layering"),
+        ("src/pir/x.cc", '#include "sim/engine.hh"\n', "layering"),
+        ("src/net/x.cc", '#  include <model/complexity.hh>\n',
+         "layering"),
+        ("src/common/x.cc", '#include "model/roofline.hh"\n',
+         "layering"),
+        ("src/shard/x.cc", '#include "shard/scheduler_config.hh"\n',
+         None),
+        ("src/pir/x.cc", '// see "sim/engine.hh" for the model\n',
+         None),
+        ("src/pir/x.cc", '/* #include "sim/engine.hh" */\n', None),
+        # The simulator side may include serving headers and itself.
+        ("src/system/x.cc", '#include "sim/engine.hh"\n', None),
+        ("tests/t.cc", '#include "system/batch_scheduler.hh"\n', None),
+        ("src/shard/x.cc",
+         "// lint: allow(layering) -- transitional shim\n"
+         '#include "system/cluster.hh"\n', None),
     ]
 
     failures = 0

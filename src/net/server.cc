@@ -15,6 +15,7 @@
 #include "common/failpoint.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
+#include "pir/session.hh"
 #include "pir/wire.hh"
 
 namespace ive::net {
@@ -625,16 +626,14 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
         }
         ++c.inFlight;
         u64 conn_id = c.id;
-        // The thunk below is byte-for-byte ServerSession::answer():
-        // deserializeQuery -> processAllPlanes -> serializeResponse,
-        // just bound to this client's registered engine. The engine
-        // shared_ptr pins it across a concurrent LRU eviction.
+        // The thunk runs answerQueryBlob(), the routine behind
+        // ServerSession::answer(), bound to this client's registered
+        // engine. The engine shared_ptr pins it across a concurrent
+        // LRU eviction.
         dispatcher_.submit(
             std::move(ref.queryBlob),
             [this, engine](const std::vector<u8> &blob) {
-                PirQuery q = deserializeQuery(ctx_, blob);
-                PirResponse resp{engine->processAllPlanes(q)};
-                return serializeResponse(ctx_, resp);
+                return answerQueryBlob(ctx_, *engine, blob);
             },
             [this, conn_id, seq](std::vector<u8> resp,
                                  std::exception_ptr err) {

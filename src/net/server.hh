@@ -13,9 +13,9 @@
  *
  * Query flow: socket -> FrameCodec -> SessionRegistry lookup ->
  * ShardDispatcher thunk -> engine answer -> ordered write-back. The
- * answer thunk is byte-for-byte the in-process ServerSession::answer()
- * path (deserializeQuery -> processAllPlanes -> serializeResponse), so
- * a socket client and an in-process caller see identical bytes.
+ * answer thunk calls answerQueryBlob() (pir/session.hh), the same
+ * routine ServerSession::answer() runs, so a socket client and an
+ * in-process caller see identical bytes and the same session metrics.
  *
  * Robustness posture (README "Network serving"):
  *
@@ -58,6 +58,7 @@
 
 #include "net/frame.hh"
 #include "net/registry.hh"
+#include "pir/wire.hh"
 #include "shard/dispatcher.hh"
 
 namespace ive::net {
@@ -204,7 +205,7 @@ class PirTcpServer
     const HeContext &ctx_;
     NetServerConfig cfg_;
     SessionRegistry registry_;
-    ShardDispatcher dispatcher_; ///< Coordinator-less (thunks only).
+    ShardDispatcher dispatcher_; ///< Runs the per-query thunks.
 
     int listenFd_ = -1;
     int epollFd_ = -1;

@@ -15,16 +15,15 @@ now()
 
 } // namespace
 
-std::vector<BfvCiphertext>
-processBatch(const PirServer &server, const std::vector<PirQuery> &queries,
-             int plane)
+std::vector<std::vector<BfvCiphertext>>
+processBatch(const PirServer &server, const std::vector<PirQuery> &queries)
 {
     // Queries are independent; batch-level parallelism takes the
-    // coarse lane, and the per-query parallelism inside process()
-    // degrades to inline execution on the worker threads.
-    std::vector<BfvCiphertext> responses(queries.size());
+    // coarse lane, and the per-query parallelism inside
+    // processAllPlanes() degrades to inline execution on the workers.
+    std::vector<std::vector<BfvCiphertext>> responses(queries.size());
     parallelFor(0, queries.size(), [&](u64 i) {
-        responses[i] = server.process(queries[i], plane);
+        responses[i] = server.processAllPlanes(queries[i]);
     });
     return responses;
 }

@@ -32,10 +32,14 @@ struct CpuPhaseTimes
     }
 };
 
-/** Executes a batch of queries; returns one response per query. */
-std::vector<BfvCiphertext>
+/**
+ * Executes a batch of queries in parallel, one pool lane per query
+ * (the in-process inter-query lane); returns every plane of each
+ * query's response.
+ */
+std::vector<std::vector<BfvCiphertext>>
 processBatch(const PirServer &server,
-             const std::vector<PirQuery> &queries, int plane = 0);
+             const std::vector<PirQuery> &queries);
 
 /** Times each phase of a single query on the host CPU. */
 CpuPhaseTimes measureCpuQuery(const PirServer &server,

@@ -72,7 +72,8 @@ KsPir::makeQuery(u64 entry)
 BfvCiphertext
 KsPir::answer(const PirQuery &query) const
 {
-    BfvCiphertext resp = server_->process(query);
+    // KsPir records are single-plane (setEntry writes plane 0).
+    BfvCiphertext resp = server_->processAllPlanes(query)[0];
     return partialTrace(ctx_, resp, keys_.evks, params_.traceSteps);
 }
 

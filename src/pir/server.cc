@@ -259,34 +259,24 @@ PirServer::expandAndSelect(const PirQuery &query, int sel_from,
 std::vector<RgswCiphertext>
 PirServer::buildSelectors(const std::vector<BfvCiphertext> &leaves) const
 {
-    return buildSelectors(leaves, 0, params_.d);
-}
-
-std::vector<RgswCiphertext>
-PirServer::buildSelectors(const std::vector<BfvCiphertext> &leaves,
-                          int from, int to) const
-{
     StageMetrics &sm = stageMetrics();
     obs::StageSpan span(&sm.selectors, "selectors");
-    ive_assert(from >= 0 && from <= to && to <= params_.d);
     const Gadget &g = ctx_.gadgetRgsw();
     int ell = g.ell();
 
     std::vector<RgswCiphertext> selectors(params_.d);
-    for (int t = from; t < to; ++t) {
-        selectors[t].ell = ell;
-        selectors[t].rows.resize(2 * ell);
+    for (RgswCiphertext &sel : selectors) {
+        sel.ell = ell;
+        sel.rows.resize(2 * ell);
     }
     // Each (dimension, gadget-row) pair is independent.
-    wideFor(static_cast<u64>(to - from) * ell, [&](u64 i) {
-        int t = from + static_cast<int>(i / ell);
-        int k = static_cast<int>(i % ell);
-        selectorRows(selectors[t], k,
-                     leaves[params_.d0 + static_cast<u64>(t) * ell + k]);
+    const u64 rows = static_cast<u64>(params_.d) * ell;
+    wideFor(rows, [&](u64 i) {
+        selectorRows(selectors[i / ell], static_cast<int>(i % ell),
+                     leaves[params_.d0 + i]);
     });
-    counters_.externalProducts.fetch_add(
-        static_cast<u64>(to - from) * ell, std::memory_order_relaxed);
-    sm.externalProducts.add(static_cast<u64>(to - from) * ell);
+    counters_.externalProducts.fetch_add(rows, std::memory_order_relaxed);
+    sm.externalProducts.add(rows);
     return selectors;
 }
 
@@ -493,15 +483,8 @@ PirServer::foldPairInPlace(BfvCiphertext &e0, const BfvCiphertext &e1,
 
 BfvCiphertext
 PirServer::colTor(std::vector<BfvCiphertext> entries,
-                  const std::vector<RgswCiphertext> &sel) const
-{
-    return foldTournament(std::move(entries), sel, 0);
-}
-
-BfvCiphertext
-PirServer::foldTournament(std::vector<BfvCiphertext> entries,
-                          const std::vector<RgswCiphertext> &sel,
-                          int sel_offset) const
+                  const std::vector<RgswCiphertext> &sel,
+                  int sel_offset) const
 {
     StageMetrics &sm = stageMetrics();
     obs::StageSpan span(&sm.fold, "fold");
@@ -553,36 +536,8 @@ PirServer::colTorScheduled(std::vector<BfvCiphertext> entries,
     return entries[0];
 }
 
-BfvCiphertext
-PirServer::process(const PirQuery &query, int plane) const
-{
-    ive_assert(localColumns() == (u64{1} << params_.d),
-               "process() needs the full database; shards use "
-               "processPartial()");
-    return processPartial(query, plane);
-}
-
 std::vector<BfvCiphertext>
 PirServer::processAllPlanes(const PirQuery &query) const
-{
-    ive_assert(localColumns() == (u64{1} << params_.d),
-               "processAllPlanes() needs the full database; shards use "
-               "processAllPlanesPartial()");
-    return processAllPlanesPartial(query);
-}
-
-BfvCiphertext
-PirServer::processPartial(const PirQuery &query, int plane) const
-{
-    std::vector<RgswCiphertext> selectors;
-    std::vector<BfvCiphertext> leaves =
-        expandAndSelect(query, 0, localLevels(), selectors);
-    std::vector<BfvCiphertext> entries = rowSel(leaves, plane);
-    return colTor(std::move(entries), selectors);
-}
-
-std::vector<BfvCiphertext>
-PirServer::processAllPlanesPartial(const PirQuery &query) const
 {
     std::vector<RgswCiphertext> selectors;
     std::vector<BfvCiphertext> leaves =

@@ -15,16 +15,18 @@
  *   4. ColTor: a binary tournament of external products halves the
  *      2^d candidates per dimension; error grows only additively.
  *
- * Sharded serving (paper SV): the database may be a record-axis slice
- * covering a power-of-two, boundary-aligned run of the 2^d ColTor
- * columns. processPartial() then runs RowSel plus only the local
- * localLevels() tournament levels and returns the unfused partial
- * ciphertext; the coordinator finishes with foldTournament() over the
- * gathered partials using the remaining selectors. Because every fold
- * the single server would perform happens once, on the same operands,
- * in the same order, the sharded result is byte-identical to the
- * monolithic one. A server built with db == nullptr is fold-only: it
- * expands queries and folds partials but cannot run RowSel.
+ * processAllPlanes() is the one pipeline entry point: RowSel over the
+ * local database, then the localLevels() leading tournament levels,
+ * for every plane. On a full database that is the answer. For sharded
+ * serving (paper SV) the database may be a record-axis slice covering
+ * a power-of-two, boundary-aligned run of the 2^d ColTor columns; the
+ * same call then yields the slice's unfused partial, and the
+ * coordinator finishes with colTor(partials, sel, sel_offset) using
+ * the remaining selectors. Because every fold the single server would
+ * perform happens once, on the same operands, in the same order, the
+ * sharded result is byte-identical to the monolithic one. A server
+ * built with db == nullptr is fold-only: it expands queries and folds
+ * partials but cannot run RowSel.
  */
 
 #ifndef IVE_PIR_SERVER_HH
@@ -113,27 +115,17 @@ class PirServer
     buildSelectors(const std::vector<BfvCiphertext> &leaves) const;
 
     /**
-     * Assembles only the selectors for tournament levels [from, to).
-     * The result is still indexed [0, d) so it plugs straight into
-     * colTor/foldTournament; unbuilt slots stay empty. Shards build
-     * just their localLevels() and the coordinator just the final
-     * log2(num_shards), saving the broadcast's duplicated external
-     * products.
-     */
-    std::vector<RgswCiphertext>
-    buildSelectors(const std::vector<BfvCiphertext> &leaves, int from,
-                   int to) const;
-
-    /**
      * Expansion overlapped with selector assembly: identical leaves to
      * expandQuery(), and on return selectors holds the RGSW selectors
      * for tournament levels [sel_from, sel_to) (indexed [0, d), unbuilt
-     * slots empty — the same shape buildSelectors returns). A selector
-     * leaf is final as soon as the last expansion level produces it, so
-     * each last-level node task builds the selector rows for the leaves
-     * it owns inside the same parallel batch, instead of a full barrier
-     * between expansion and assembly. Byte-identical to expandQuery()
-     * followed by buildSelectors(leaves, sel_from, sel_to).
+     * slots empty). A selector leaf is final as soon as the last
+     * expansion level produces it, so each last-level node task builds
+     * the selector rows for the leaves it owns inside the same parallel
+     * batch, instead of a full barrier between expansion and assembly.
+     * With [0, d) it is byte-identical to expandQuery() followed by
+     * buildSelectors(leaves). Shards select just their localLevels()
+     * and the coordinator just the final log2(num_shards), saving the
+     * broadcast's duplicated external products.
      */
     std::vector<BfvCiphertext>
     expandAndSelect(const PirQuery &query, int sel_from, int sel_to,
@@ -148,20 +140,14 @@ class PirServer
 
     /**
      * ColTor tournament in the default (BFS) order over a power-of-two
-     * entry run, folding the leading log2(entries.size()) dimensions.
+     * entry run, using sel[sel_offset + t] at depth t. sel_offset = 0
+     * folds the leading log2(entries.size()) dimensions; the
+     * coordinator's final fold over gathered shard partials passes
+     * sel_offset = d - log2(num_shards).
      */
     BfvCiphertext colTor(std::vector<BfvCiphertext> entries,
-                         const std::vector<RgswCiphertext> &sel) const;
-
-    /**
-     * BFS tournament over 2^L entries using sel[sel_offset + t] at
-     * depth t: the final fold the coordinator runs over gathered shard
-     * partials (sel_offset = d - log2(num_shards)).
-     */
-    BfvCiphertext
-    foldTournament(std::vector<BfvCiphertext> entries,
-                   const std::vector<RgswCiphertext> &sel,
-                   int sel_offset) const;
+                         const std::vector<RgswCiphertext> &sel,
+                         int sel_offset = 0) const;
 
     /** ColTor executed in an arbitrary valid schedule order. */
     BfvCiphertext
@@ -169,25 +155,14 @@ class PirServer
                     const std::vector<RgswCiphertext> &sel,
                     const std::vector<TreeOp> &schedule) const;
 
-    /** Full pipeline for one plane (requires the full database). */
-    BfvCiphertext process(const PirQuery &query, int plane = 0) const;
-
-    /** Full pipeline for all planes (one expansion, shared). */
+    /**
+     * The pipeline for every plane, sharing one expansion: RowSel over
+     * the local database plus the localLevels() leading tournament
+     * levels. On a full database this is the complete answer; on a
+     * shard slice it is the unfused partial the coordinator folds.
+     */
     std::vector<BfvCiphertext> processAllPlanes(const PirQuery &query)
         const;
-
-    /**
-     * Partial pipeline for one plane: RowSel over the local slice plus
-     * the localLevels() leading tournament levels. For a full database
-     * this is the complete answer; for a shard it is the unfused
-     * partial the coordinator folds.
-     */
-    BfvCiphertext processPartial(const PirQuery &query, int plane = 0)
-        const;
-
-    /** Partial pipeline for all planes (one expansion, shared). */
-    std::vector<BfvCiphertext>
-    processAllPlanesPartial(const PirQuery &query) const;
 
     /** ColTor columns the local database slice covers. */
     u64 localColumns() const;

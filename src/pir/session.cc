@@ -1,7 +1,6 @@
 #include "pir/session.hh"
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "obs/trace.hh"
 
 namespace ive {
@@ -190,20 +189,24 @@ ServerSession::requireFullDatabase() const
 }
 
 std::vector<u8>
-ServerSession::answer(std::span<const u8> query_blob) const
+answerQueryBlob(const HeContext &ctx, const PirServer &server,
+                std::span<const u8> query_blob, const ShardSlot *partial)
 {
-    requireFullDatabase();
     SessionMetrics &sm = sessionMetrics();
-    obs::Tracer::QueryTrace trace("answer");
+    obs::Tracer::QueryTrace trace(partial ? "partial" : "answer");
     obs::StageSpan whole(&sm.answerNs, "answer");
     sm.requestBytes.add(query_blob.size());
-    PirQuery q = deserializeQuery(ctx_, query_blob);
-    PirResponse resp{server().processAllPlanes(q)};
-    queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
+    PirQuery q = deserializeQuery(ctx, query_blob);
+    std::vector<BfvCiphertext> planes = server.processAllPlanes(q);
     std::vector<u8> out;
     {
         obs::StageSpan ser(&sm.serializeNs, "serialize");
-        out = serializeResponse(ctx_, resp);
+        out = partial ? serializePartialResponse(
+                            ctx, PirPartialResponse{partial->shard,
+                                                    partial->numShards,
+                                                    std::move(planes)})
+                      : serializeResponse(ctx,
+                                          PirResponse{std::move(planes)});
     }
     sm.responseBytes.add(out.size());
     sm.queries.add(1);
@@ -211,91 +214,22 @@ ServerSession::answer(std::span<const u8> query_blob) const
 }
 
 std::vector<u8>
-ServerSession::answerPlane(std::span<const u8> query_blob, int plane) const
+ServerSession::answer(std::span<const u8> query_blob) const
 {
     requireFullDatabase();
-    SessionMetrics &sm = sessionMetrics();
-    obs::Tracer::QueryTrace trace("plane");
-    obs::StageSpan whole(&sm.answerNs, "answer");
-    sm.requestBytes.add(query_blob.size());
-    PirQuery q = deserializeQuery(ctx_, query_blob);
-    PirResponse resp{{server().process(q, plane)}};
+    std::vector<u8> out = answerQueryBlob(ctx_, server(), query_blob);
     queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<u8> out;
-    {
-        obs::StageSpan ser(&sm.serializeNs, "serialize");
-        out = serializeResponse(ctx_, resp);
-    }
-    sm.responseBytes.add(out.size());
-    sm.queries.add(1);
     return out;
 }
 
 std::vector<u8>
 ServerSession::answerPartial(std::span<const u8> query_blob) const
 {
-    SessionMetrics &sm = sessionMetrics();
-    obs::Tracer::QueryTrace trace("partial");
-    obs::StageSpan whole(&sm.answerNs, "answer");
-    sm.requestBytes.add(query_blob.size());
-    PirQuery q = deserializeQuery(ctx_, query_blob);
-    PirPartialResponse partial{shard_, numShards_,
-                               server().processAllPlanesPartial(q)};
+    const ShardSlot slot{shard_, numShards_};
+    std::vector<u8> out =
+        answerQueryBlob(ctx_, server(), query_blob, &slot);
     queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<u8> out;
-    {
-        obs::StageSpan ser(&sm.serializeNs, "serialize");
-        out = serializePartialResponse(ctx_, partial);
-    }
-    sm.responseBytes.add(out.size());
-    sm.queries.add(1);
     return out;
-}
-
-std::vector<std::vector<u8>>
-ServerSession::answerBatch(
-    const std::vector<std::vector<u8>> &query_blobs) const
-{
-    requireFullDatabase();
-    SessionMetrics &sm = sessionMetrics();
-    obs::Tracer::QueryTrace trace("batch");
-    // Deserialize up front so a malformed blob throws on the calling
-    // thread, then answer in parallel (queries are independent).
-    std::vector<PirQuery> queries;
-    queries.reserve(query_blobs.size());
-    for (const auto &blob : query_blobs) {
-        sm.requestBytes.add(blob.size());
-        queries.push_back(deserializeQuery(ctx_, blob));
-    }
-
-    const PirServer &srv = server();
-    std::vector<std::vector<u8>> responses(queries.size());
-    if (queries.size() <
-        static_cast<u64>(ThreadPool::global().size())) {
-        // Fewer queries than lanes: answer serially so each query's
-        // internal stage parallelism (expand nodes, RowSel columns,
-        // fold pairs, per-residue kernels) spreads across the pool
-        // instead of pinning whole queries to single workers.
-        for (u64 i = 0; i < queries.size(); ++i) {
-            obs::StageSpan whole(&sm.answerNs, "answer");
-            PirResponse resp{srv.processAllPlanes(queries[i])};
-            obs::StageSpan ser(&sm.serializeNs, "serialize");
-            responses[i] = serializeResponse(ctx_, resp);
-        }
-    } else {
-        parallelFor(0, queries.size(), [&](u64 i) {
-            obs::StageSpan whole(&sm.answerNs, "answer");
-            PirResponse resp{srv.processAllPlanes(queries[i])};
-            obs::StageSpan ser(&sm.serializeNs, "serialize");
-            responses[i] = serializeResponse(ctx_, resp);
-        });
-    }
-    queriesAnswered_.fetch_add(queries.size(),
-                               std::memory_order_relaxed);
-    for (const auto &blob : responses)
-        sm.responseBytes.add(blob.size());
-    sm.queries.add(queries.size());
-    return responses;
 }
 
 const ServerCounters &

@@ -12,9 +12,11 @@
  *   client: queryBlob(index) ------------> answer(query_blob)
  *   client: decodeResponse(resp_blob) <--- (all planes of the record)
  *
- * ServerSession::answerBatch() fans a batch of query blobs across the
- * global thread pool; since every pipeline stage and the serializer are
- * deterministic, response blobs are byte-identical at any thread count.
+ * Every answer — ServerSession::answer(), answerPartial() and the TCP
+ * front-end's per-client QueryRef thunk (net/server.cc) — runs the one
+ * routine answerQueryBlob(); since every pipeline stage and the
+ * serializer are deterministic, response blobs are byte-identical at
+ * any thread count.
  */
 
 #ifndef IVE_PIR_SESSION_HH
@@ -36,6 +38,26 @@ namespace ive {
 PirPublicKeys deserializeCompatibleKeys(const HeContext &ctx,
                                         const PirParams &params,
                                         std::span<const u8> key_blob);
+
+/** A shard's place in its deployment; tags PartialResponse blobs. */
+struct ShardSlot
+{
+    u32 shard = 0;
+    u32 numShards = 1;
+};
+
+/**
+ * The one answer routine of the bytes-only boundary: deserializes the
+ * query blob, runs server.processAllPlanes() and serializes the planes
+ * — as a Response blob when `partial` is null, else as that slot's
+ * PartialResponse blob. Records the session request/response/answer
+ * metrics and claims a query trace around the whole call. Throws
+ * SerializeError for a malformed blob.
+ */
+std::vector<u8> answerQueryBlob(const HeContext &ctx,
+                                const PirServer &server,
+                                std::span<const u8> query_blob,
+                                const ShardSlot *partial = nullptr);
 
 class ClientSession
 {
@@ -101,23 +123,12 @@ class ServerSession
     /** Answers one query blob with all planes of the record. */
     std::vector<u8> answer(std::span<const u8> query_blob) const;
 
-    /** Answers one query blob for a single plane. */
-    std::vector<u8> answerPlane(std::span<const u8> query_blob,
-                                int plane) const;
-
     /**
      * Answers one query blob with this shard's PartialResponse blob:
      * the slice-local RowSel + ColTor partial per plane, for the
      * coordinator's final tournament fold.
      */
     std::vector<u8> answerPartial(std::span<const u8> query_blob) const;
-
-    /**
-     * Answers a batch of query blobs in parallel on the global thread
-     * pool (each response carries all planes).
-     */
-    std::vector<std::vector<u8>>
-    answerBatch(const std::vector<std::vector<u8>> &query_blobs) const;
 
     /** Pipeline op counters of the underlying server (keys required). */
     const ServerCounters &counters() const;

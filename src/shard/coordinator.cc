@@ -215,12 +215,6 @@ ShardCoordinator::gatherSlice(u32 slice,
 std::vector<u8>
 ShardCoordinator::answer(std::span<const u8> query_blob)
 {
-    return answerOne(query_blob);
-}
-
-std::vector<u8>
-ShardCoordinator::answerOne(std::span<const u8> query_blob)
-{
     obs::Tracer::QueryTrace trace("shard_answer");
     // Parse once up front: a malformed query must reach no shard (and
     // must surface as SerializeError, never burn the retry budget).
@@ -309,34 +303,19 @@ ShardCoordinator::finishFold(
                                 selectors);
 
         // planes (1-2) never fills the pool; run the loop serially so
-        // each foldTournament's internal parallelism engages instead.
+        // each colTor's internal parallelism engages instead.
         resp.planes.resize(params_.planes);
         for (u64 pl = 0; pl < static_cast<u64>(params_.planes); ++pl) {
             std::vector<BfvCiphertext> entries(n);
             for (u32 s = 0; s < n; ++s)
                 entries[s] = partials[s].planes[pl];
-            resp.planes[pl] = srv.foldTournament(std::move(entries),
-                                                 selectors, sel_offset);
+            resp.planes[pl] =
+                srv.colTor(std::move(entries), selectors, sel_offset);
         }
     }
     queries_.fetch_add(1, std::memory_order_relaxed);
     coordMetrics().queries.add(1);
     return serializeResponse(ctx_, resp);
-}
-
-std::vector<std::vector<u8>>
-ShardCoordinator::answerBatch(
-    const std::vector<std::vector<u8>> &query_blobs)
-{
-    // Validate every blob on the calling thread before any work.
-    for (const auto &blob : query_blobs)
-        (void)deserializeQuery(ctx_, blob);
-
-    std::vector<std::vector<u8>> responses(query_blobs.size());
-    parallelFor(0, query_blobs.size(), [&](u64 i) {
-        responses[i] = answerOne(query_blobs[i]);
-    });
-    return responses;
 }
 
 ShardCountersSummary

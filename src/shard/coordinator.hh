@@ -136,13 +136,10 @@ class ShardCoordinator
     /**
      * Broadcast, gather (with failover), fold: one Response blob per
      * query blob. Throws ShardUnavailable when a slice's whole replica
-     * group failed past the retry budget.
+     * group failed past the retry budget. Safe to call concurrently;
+     * batches go through ShardDispatcher with this as the work thunk.
      */
     std::vector<u8> answer(std::span<const u8> query_blob);
-
-    /** Answers a batch of query blobs in parallel (thread pool). */
-    std::vector<std::vector<u8>>
-    answerBatch(const std::vector<std::vector<u8>> &query_blobs);
 
     /**
      * Finishes the fold over externally gathered PartialResponse
@@ -159,7 +156,6 @@ class ShardCoordinator
     ShardCountersSummary summary() const;
 
   private:
-    std::vector<u8> answerOne(std::span<const u8> query_blob);
     std::vector<u8> finishFold(
         const PirQuery &query,
         const std::vector<std::vector<u8>> &partial_blobs);

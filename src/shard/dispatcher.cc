@@ -1,6 +1,7 @@
 #include "shard/dispatcher.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/error.hh"
 #include "common/failpoint.hh"
@@ -54,37 +55,7 @@ dispatchMetrics()
 
 } // namespace
 
-void
-ShardDispatcher::deliverValue(Pending &p, std::vector<u8> value)
-{
-    if (p.done)
-        p.done(std::move(value), nullptr);
-    else
-        p.promise.set_value(std::move(value));
-}
-
-void
-ShardDispatcher::deliverError(Pending &p, std::exception_ptr err)
-{
-    if (p.done)
-        p.done({}, std::move(err));
-    else
-        p.promise.set_exception(std::move(err));
-}
-
-ShardDispatcher::ShardDispatcher(ShardCoordinator &coordinator,
-                                 const SchedulerConfig &cfg)
-    : coordinator_(&coordinator), cfg_(cfg)
-{
-    ive_assert(cfg_.maxBatch >= 1);
-    ive_assert(cfg_.windowSec >= 0.0);
-    ive_assert(cfg_.maxQueue >= 0);
-    ive_assert(cfg_.queryDeadlineSec >= 0.0);
-    worker_ = std::thread([this] { runLoop(); });
-}
-
-ShardDispatcher::ShardDispatcher(const SchedulerConfig &cfg)
-    : coordinator_(nullptr), cfg_(cfg)
+ShardDispatcher::ShardDispatcher(const SchedulerConfig &cfg) : cfg_(cfg)
 {
     ive_assert(cfg_.maxBatch >= 1);
     ive_assert(cfg_.windowSec >= 0.0);
@@ -111,52 +82,36 @@ ShardDispatcher::shutdown()
     });
 }
 
-ShardDispatcher::Pending
-ShardDispatcher::makePending(std::vector<u8> blob) const
+void
+ShardDispatcher::submit(std::vector<u8> query_blob, AnswerFn work,
+                        CompletionFn done)
 {
+    ive_assert(work != nullptr && done != nullptr);
     Pending p;
     p.arrival = Clock::now();
     p.arrivalNs = obs::nowNs();
     if (cfg_.queryDeadlineSec > 0.0)
         p.deadlineNs = p.arrivalNs +
                        static_cast<u64>(cfg_.queryDeadlineSec * 1e9);
-    p.blob = std::move(blob);
-    return p;
-}
-
-std::future<std::vector<u8>>
-ShardDispatcher::submit(std::vector<u8> query_blob)
-{
-    if (coordinator_ == nullptr)
-        throw std::logic_error("ShardDispatcher: blob-only submit on a "
-                               "coordinator-less dispatcher");
-    Pending p = makePending(std::move(query_blob));
-    std::future<std::vector<u8>> fut = p.promise.get_future();
-    enqueue(std::move(p));
-    return fut;
-}
-
-void
-ShardDispatcher::submit(std::vector<u8> query_blob, CompletionFn done)
-{
-    if (coordinator_ == nullptr)
-        throw std::logic_error("ShardDispatcher: blob-only submit on a "
-                               "coordinator-less dispatcher");
-    ive_assert(done != nullptr);
-    Pending p = makePending(std::move(query_blob));
-    p.done = std::move(done);
-    enqueue(std::move(p));
-}
-
-void
-ShardDispatcher::submit(std::vector<u8> query_blob, AnswerFn work,
-                        CompletionFn done)
-{
-    ive_assert(work != nullptr && done != nullptr);
-    Pending p = makePending(std::move(query_blob));
+    p.blob = std::move(query_blob);
     p.work = std::move(work);
     p.done = std::move(done);
     enqueue(std::move(p));
+}
+
+std::future<std::vector<u8>>
+ShardDispatcher::submit(std::vector<u8> query_blob, AnswerFn work)
+{
+    auto promise = std::make_shared<std::promise<std::vector<u8>>>();
+    std::future<std::vector<u8>> fut = promise->get_future();
+    submit(std::move(query_blob), std::move(work),
+           [promise](std::vector<u8> resp, std::exception_ptr err) {
+               if (err)
+                   promise->set_exception(std::move(err));
+               else
+                   promise->set_value(std::move(resp));
+           });
+    return fut;
 }
 
 void
@@ -196,7 +151,7 @@ ShardDispatcher::enqueue(Pending p)
     if (rejection) {
         // Outside the lock: a completion callback may re-enter the
         // dispatcher (or take its own locks) without deadlocking.
-        deliverError(p, std::move(rejection));
+        p.done({}, std::move(rejection));
         return;
     }
     dm.submitted.add(1);
@@ -235,7 +190,7 @@ ShardDispatcher::runLoop()
         }
 
         // The waiting window opened when the batch's first query
-        // arrived. If the coordinator was busy past the window's end
+        // arrived. If the previous batch ran past the window's end
         // (or we are shutting down), the deadline is already in the
         // past and the batch dispatches immediately — the live
         // equivalent of the simulator's max(window_close, server_free).
@@ -286,15 +241,15 @@ ShardDispatcher::runLoop()
         if (!lapsed.empty()) {
             dm.expired.add(lapsed.size());
             dm.completed.add(lapsed.size());
-            for (Pending &p : lapsed)
-                deliverError(
-                    p,
-                    std::make_exception_ptr(DeadlineExceeded(strprintf(
-                        "ShardDispatcher: deadline (%.3f s) expired "
-                        "after %.3f s in the waiting window",
-                        cfg_.queryDeadlineSec,
-                        static_cast<double>(dispatch_ns - p.arrivalNs) /
-                            1e9))));
+            for (Pending &p : lapsed) {
+                const double waited =
+                    static_cast<double>(dispatch_ns - p.arrivalNs) / 1e9;
+                p.done({}, std::make_exception_ptr(DeadlineExceeded(
+                               strprintf("ShardDispatcher: deadline "
+                                         "(%.3f s) expired after %.3f s "
+                                         "in the waiting window",
+                                         cfg_.queryDeadlineSec, waited))));
+            }
         }
 
         if (batch.empty()) {
@@ -311,41 +266,14 @@ ShardDispatcher::runLoop()
                                        ? dispatch_ns - p.arrivalNs
                                        : 0);
 
-        // A batch may mix coordinator-bound entries (future/callback
-        // blob submits) with self-contained work thunks; the former
-        // share one answerBatch call, the latter each run inside
-        // their own error boundary so one bad query cannot fail its
-        // batch-mates.
-        std::vector<Pending *> coord;
+        // Thunks run one at a time, each inside its own error
+        // boundary, so one bad query cannot fail its batch-mates.
         for (Pending &p : batch) {
-            if (p.work) {
-                try {
-                    deliverValue(p, p.work(p.blob));
-                    // lint: allow(catch-all) -- delivered intact via the completion callback
-                } catch (...) {
-                    deliverError(p, std::current_exception());
-                }
-            } else {
-                coord.push_back(&p);
-            }
-        }
-        if (!coord.empty()) {
-            std::vector<std::vector<u8>> blobs;
-            blobs.reserve(coord.size());
-            for (const Pending *p : coord)
-                blobs.push_back(p->blob);
             try {
-                std::vector<std::vector<u8>> responses =
-                    coordinator_->answerBatch(blobs);
-                for (size_t i = 0; i < coord.size(); ++i)
-                    deliverValue(*coord[i], std::move(responses[i]));
-                // lint: allow(catch-all) -- delivered intact via futures
+                p.done(p.work(p.blob), nullptr);
+                // lint: allow(catch-all) -- delivered intact via the completion callback
             } catch (...) {
-                // One bad blob fails the whole batch up front
-                // (answerBatch validates before any work); every
-                // waiter learns why.
-                for (Pending *p : coord)
-                    deliverError(*p, std::current_exception());
+                p.done({}, std::current_exception());
             }
         }
 

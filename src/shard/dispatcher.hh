@@ -1,15 +1,23 @@
 /**
  * @file
- * Live waiting-window dispatcher feeding the shard coordinator.
+ * Live waiting-window dispatcher: the one batch executor of the
+ * serving stack.
  *
  * This is the system/batch_scheduler policy (paper SV, Fig. 14b) moved
  * from discrete-event simulation onto a real thread: a waiting window
  * opens when the first query of a batch arrives, and the batch is
  * dispatched when the window expires or maxBatch queries have queued,
- * whichever comes first. While the coordinator is busy the next window
+ * whichever comes first. While a batch runs the next window
  * effectively closes at completion time, exactly like the simulator's
  * max(window_close, server_free). The same SchedulerConfig drives
  * both, so simulated load curves and live behavior stay comparable.
+ *
+ * Every query carries its own work thunk, AnswerFn, which computes its
+ * response at dispatch time: the TCP front-end (src/net/) binds the
+ * client's registered engine, and a sharded deployment passes
+ * [&](auto &b) { return coord.answer(b); }. A batch runs its thunks on
+ * the dispatch thread one at a time, each inside its own error
+ * boundary, so one bad query never fails its batch-mates.
  *
  * Admission control (SchedulerConfig knobs, README "Robustness"):
  *
@@ -25,31 +33,19 @@
  *
  * submit() is thread-safe and NEVER throws for serving-state reasons:
  * overload, deadline expiry and shutdown all surface as a typed
- * ive::Error on the returned future (Overloaded, DeadlineExceeded,
- * ShutdownError), so every submit observes exactly one outcome and a
- * submit racing shutdown can neither hang nor see a broken promise.
- * Pipeline errors (e.g. SerializeError for a malformed blob,
- * ShardUnavailable from a dead slice) arrive the same way.
+ * ive::Error through the query's completion (Overloaded,
+ * DeadlineExceeded, ShutdownError), so every submit observes exactly
+ * one outcome and a submit racing shutdown can neither hang nor see a
+ * broken promise. Thunk errors (e.g. SerializeError for a malformed
+ * blob, ShardUnavailable from a dead slice) arrive the same way.
  *
- * Result delivery comes in two flavors:
- *
- *   future    submit(blob) — the original API; fine for tests and
- *             batch drivers that can afford to block on get().
- *   callback  submit(blob, done) / submit(blob, work, done) — for
- *             event-loop callers (the epoll front-end in src/net/)
- *             that must never block: done(response, error) fires
- *             exactly once, on the dispatch thread for accepted work
- *             or on the submitting thread for immediate rejections,
- *             always outside the dispatcher lock (re-submitting from
- *             a callback is safe). Callbacks must not block — they
- *             run on the serving path.
- *
- * The work-thunk variant also decouples the dispatcher from the
- * coordinator: a Pending carrying its own AnswerFn is executed
- * directly, which lets the session registry hand each query a
- * per-client engine while still sharing the window/admission
- * machinery. A dispatcher built with the coordinator-less constructor
- * accepts only that variant.
+ * submit(blob, work, done) delivers through done(response, error),
+ * which fires exactly once: on the dispatch thread for accepted work,
+ * on the submitting thread for immediate rejections, always outside
+ * the dispatcher lock (re-submitting from a callback is safe).
+ * Callbacks must not block — the epoll front-end relies on that.
+ * submit(blob, work) wraps the same path in a future, for tests and
+ * batch drivers that can afford to block on get().
  */
 
 #ifndef IVE_SHARD_DISPATCHER_HH
@@ -63,8 +59,8 @@
 #include <thread>
 
 #include "common/annotations.hh"
-#include "shard/coordinator.hh"
-#include "system/batch_scheduler.hh"
+#include "common/types.hh"
+#include "shard/scheduler_config.hh"
 
 namespace ive {
 
@@ -72,7 +68,7 @@ namespace ive {
 struct DispatcherStats
 {
     u64 submitted = 0;  ///< Accepted into the queue.
-    u64 completed = 0;  ///< Futures resolved, success or error.
+    u64 completed = 0;  ///< Outcomes delivered, success or error.
     u64 batches = 0;
     u64 fullBatches = 0; ///< Dispatched because maxBatch was reached.
     u64 maxBatch = 0;    ///< Largest batch dispatched so far.
@@ -94,19 +90,7 @@ class ShardDispatcher
         std::function<void(std::vector<u8> response,
                            std::exception_ptr error)>;
 
-    /**
-     * Starts the dispatch thread. The coordinator must outlive the
-     * dispatcher and have its keys ingested before the first submit.
-     */
-    ShardDispatcher(ShardCoordinator &coordinator,
-                    const SchedulerConfig &cfg);
-
-    /**
-     * Coordinator-less dispatcher: only the work-thunk submit variant
-     * is accepted; blob-only submits are API misuse and throw
-     * std::logic_error. Used by the network front-end, where each
-     * query carries its own per-client engine thunk.
-     */
+    /** Starts the dispatch thread. */
     explicit ShardDispatcher(const SchedulerConfig &cfg);
 
     /** Flushes the queue, then joins the dispatch thread. */
@@ -125,34 +109,22 @@ class ShardDispatcher
     ShardDispatcher &operator=(const ShardDispatcher &) = delete;
 
     /**
-     * Enqueues one query blob; the future yields its Response blob or
-     * a typed ive::Error (Overloaded when the queue is at its
-     * high-water mark, DeadlineExceeded when the waiting window
-     * consumed the query's deadline, ShutdownError when the dispatcher
-     * is stopping, or the coordinator's own failure).
-     */
-    std::future<std::vector<u8>> submit(std::vector<u8> query_blob)
-        IVE_EXCLUDES(mu_);
-
-    /**
-     * Callback flavor of the blob submit: same admission control and
-     * coordinator batch path, but the result is delivered through
-     * done(response, error) instead of a future. Requires a
-     * coordinator (throws std::logic_error otherwise).
-     */
-    void submit(std::vector<u8> query_blob, CompletionFn done)
-        IVE_EXCLUDES(mu_);
-
-    /**
-     * Work-thunk submit: the query rides the same waiting window and
-     * admission control, but at dispatch time work(blob) computes the
-     * response instead of the coordinator — one thunk per query, each
-     * wrapped in its own error boundary so one bad query cannot fail
-     * its batch-mates. The only variant a coordinator-less dispatcher
-     * accepts.
+     * Enqueues one query blob; at dispatch time work(blob) computes its
+     * response, delivered through done(response, error) exactly once
+     * (see the file comment for which thread runs it).
      */
     void submit(std::vector<u8> query_blob, AnswerFn work,
                 CompletionFn done) IVE_EXCLUDES(mu_);
+
+    /**
+     * Future flavor of the same path: yields work(blob)'s response, or
+     * a typed ive::Error (Overloaded when the queue is at its
+     * high-water mark, DeadlineExceeded when the waiting window
+     * consumed the query's deadline, ShutdownError when the dispatcher
+     * is stopping, or the thunk's own failure).
+     */
+    std::future<std::vector<u8>> submit(std::vector<u8> query_blob,
+                                        AnswerFn work) IVE_EXCLUDES(mu_);
 
     /** Blocks until every submitted query has been dispatched. */
     void drain() IVE_EXCLUDES(mu_);
@@ -168,21 +140,15 @@ class ShardDispatcher
         u64 arrivalNs = 0;  ///< obs::nowNs() at submit, for telemetry.
         u64 deadlineNs = 0; ///< arrivalNs + queryDeadlineSec; 0 = none.
         std::vector<u8> blob;
-        AnswerFn work;     ///< Non-null: thunk path (skip coordinator).
-        CompletionFn done; ///< Non-null: callback delivery.
-        std::promise<std::vector<u8>> promise; ///< Else: future path.
+        AnswerFn work;
+        CompletionFn done;
     };
 
-    Pending makePending(std::vector<u8> blob) const;
-    /** Exactly-once delivery through whichever channel p carries. */
-    static void deliverValue(Pending &p, std::vector<u8> value);
-    static void deliverError(Pending &p, std::exception_ptr err);
     /** Admission control + queue insert; delivers rejections outside
-     *  the lock (promise or callback, whichever p carries). */
+     *  the lock. */
     void enqueue(Pending p) IVE_EXCLUDES(mu_);
     void runLoop() IVE_EXCLUDES(mu_);
 
-    ShardCoordinator *coordinator_; ///< Null in coordinator-less mode.
     SchedulerConfig cfg_;
 
     mutable Mutex mu_;

@@ -24,8 +24,9 @@ TEST(Counters, ServerOpCountsMatchModel)
 
     server.resetCounters();
     PirQuery q = client.makeQuery(5);
-    BfvCiphertext resp = server.process(q);
-    (void)resp;
+    // testSmall has one plane, so this is one plane's pipeline.
+    ASSERT_EQ(params.planes, 1);
+    (void)server.processAllPlanes(q);
 
     const ServerCounters &c = server.counters();
     EXPECT_EQ(c.subsOps, expansionSubsCount(params));

@@ -27,6 +27,7 @@
 #include "common/failpoint.hh"
 #include "net/client.hh"
 #include "net/server.hh"
+#include "obs/metrics.hh"
 #include "pir/session.hh"
 
 using namespace ive;
@@ -487,17 +488,20 @@ TEST(DispatcherCallbacks, ThunkErrorArrivesAsExceptionPtr)
     EXPECT_THROW(std::rethrow_exception(err), SerializeError);
 }
 
-TEST(DispatcherCallbacks, BlobOnlySubmitNeedsACoordinator)
+TEST(DispatcherCallbacks, FutureFlavorRidesTheCallbackPath)
 {
     SchedulerConfig cfg;
     cfg.windowSec = 0.0;
     ShardDispatcher d(cfg);
-    EXPECT_THROW((void)d.submit(std::vector<u8>{1}),
-                 std::logic_error);
-    EXPECT_THROW(
-        d.submit(std::vector<u8>{1},
-                 [](std::vector<u8>, std::exception_ptr) {}),
-        std::logic_error);
+
+    auto ok = d.submit(std::vector<u8>{4, 5},
+                       [](const std::vector<u8> &blob) { return blob; });
+    auto bad = d.submit(std::vector<u8>{1},
+                        [](const std::vector<u8> &) -> std::vector<u8> {
+                            throw SerializeError("bad blob");
+                        });
+    EXPECT_EQ(ok.get(), (std::vector<u8>{4, 5}));
+    EXPECT_THROW((void)bad.get(), SerializeError);
 }
 
 TEST(DispatcherCallbacks, ShutdownRejectsViaCallbackNotThrow)
@@ -551,6 +555,31 @@ TEST(NetServer, EndToEndByteIdentity)
     EXPECT_EQ(st.errorFrames, 0u);
     EXPECT_GT(st.framesIn, f.params.numEntries());
     EXPECT_EQ(f.server->registry().stats().registered, 1u);
+}
+
+TEST(NetServer, SocketAnswersRecordSessionMetrics)
+{
+    // The QueryRef thunk runs the session answer routine, so each
+    // socket answer lands in the same session counter and answer-stage
+    // histogram as an in-process ServerSession::answer().
+    NetFixture f;
+    ClientSession cl(f.params, 9);
+    PirTcpClient tcp = f.connect();
+    u64 gen = tcp.registerKeys(9, cl.paramsBlob(), cl.keyBlob());
+
+    obs::Registry &r = obs::Registry::global();
+    obs::Counter &queries = r.counter(obs::names::kSessionQueries);
+    obs::Histogram &answer = r.histogram(obs::names::kStageAnswer);
+    const u64 queries0 = queries.value();
+    const u64 answer0 = answer.snapshot().count;
+    constexpr u64 kQueries = 5;
+    for (u64 entry = 0; entry < kQueries; ++entry) {
+        auto planes = cl.decodeResponse(
+            tcp.query(9, gen, cl.queryBlob(entry)));
+        EXPECT_EQ(planes[0], dbContent(f.params, entry, 0));
+    }
+    EXPECT_EQ(queries.value() - queries0, kQueries);
+    EXPECT_EQ(answer.snapshot().count - answer0, kQueries);
 }
 
 TEST(NetServer, TwoClientsInterleaved)

@@ -71,9 +71,11 @@ TEST(ParallelServer, BatchResponsesIdenticalAtOneAndEightThreads)
     ASSERT_EQ(seq.size(), queries.size());
     ASSERT_EQ(par.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_TRUE(ctEqual(seq[i], par[i])) << "query " << i;
+        ASSERT_EQ(seq[i].size(), 1u);
+        ASSERT_EQ(par[i].size(), 1u);
+        EXPECT_TRUE(ctEqual(seq[i][0], par[i][0])) << "query " << i;
         // And both decode to the right entry.
-        EXPECT_EQ(f.client.decode(par[i]),
+        EXPECT_EQ(f.client.decode(par[i][0]),
                   f.db.entryCoeffs(targets[i]))
             << "query " << i;
     }
@@ -88,10 +90,10 @@ TEST(ParallelServer, SingleQueryPipelineIdenticalAcrossThreadCounts)
     // Odd counts exercise unbalanced chunk boundaries and partial-lane
     // dispatch; powers of two exercise the balanced fast cases.
     ThreadPool::setGlobalThreads(1);
-    BfvCiphertext base = f.server.process(q);
+    BfvCiphertext base = f.server.processAllPlanes(q)[0];
     for (int threads : {2, 3, 4, 5, 7, 8}) {
         ThreadPool::setGlobalThreads(threads);
-        BfvCiphertext resp = f.server.process(q);
+        BfvCiphertext resp = f.server.processAllPlanes(q)[0];
         EXPECT_TRUE(ctEqual(base, resp)) << threads << " threads";
     }
     ThreadPool::setGlobalThreads(1);
@@ -109,10 +111,10 @@ TEST(ParallelServer, SegmentedRowSelIdenticalWhenColumnsUnderfillPool)
     PirQuery q = f.client.makeQuery(40);
 
     ThreadPool::setGlobalThreads(1);
-    BfvCiphertext base = f.server.process(q);
+    BfvCiphertext base = f.server.processAllPlanes(q)[0];
     for (int threads : {3, 8}) {
         ThreadPool::setGlobalThreads(threads);
-        BfvCiphertext resp = f.server.process(q);
+        BfvCiphertext resp = f.server.processAllPlanes(q)[0];
         EXPECT_TRUE(ctEqual(base, resp)) << threads << " threads";
     }
     ThreadPool::setGlobalThreads(1);
@@ -129,7 +131,7 @@ TEST(ParallelServer, ExpandAndSelectMatchesSeparatePhases)
         ThreadPool::setGlobalThreads(threads);
         std::vector<BfvCiphertext> leaves = f.server.expandQuery(q);
         std::vector<RgswCiphertext> separate =
-            f.server.buildSelectors(leaves, 0, params.d);
+            f.server.buildSelectors(leaves);
 
         std::vector<RgswCiphertext> fused;
         std::vector<BfvCiphertext> leaves2 =
@@ -164,14 +166,14 @@ TEST(ParallelServer, StressConcurrentHostsHitSegmentedMerge)
     PirQuery q = f.client.makeQuery(12);
 
     ThreadPool::setGlobalThreads(4);
-    BfvCiphertext base = f.server.process(q);
+    BfvCiphertext base = f.server.processAllPlanes(q)[0];
 
     std::vector<BfvCiphertext> results(4);
     std::vector<std::thread> hosts;
     for (size_t t = 0; t < results.size(); ++t) {
         hosts.emplace_back([&, t] {
             for (int rep = 0; rep < 3; ++rep)
-                results[t] = f.server.process(q);
+                results[t] = f.server.processAllPlanes(q)[0];
         });
     }
     for (auto &t : hosts)
@@ -208,14 +210,14 @@ TEST(ParallelServer, CountersStayExactUnderParallelism)
 
     ThreadPool::setGlobalThreads(1);
     f.server.resetCounters();
-    (void)f.server.process(q);
+    (void)f.server.processAllPlanes(q);
     u64 subs = f.server.counters().subsOps;
     u64 ext = f.server.counters().externalProducts;
     u64 macs = f.server.counters().plainMulAccs;
 
     ThreadPool::setGlobalThreads(8);
     f.server.resetCounters();
-    (void)f.server.process(q);
+    (void)f.server.processAllPlanes(q);
     EXPECT_EQ(f.server.counters().subsOps, subs);
     EXPECT_EQ(f.server.counters().externalProducts, ext);
     EXPECT_EQ(f.server.counters().plainMulAccs, macs);

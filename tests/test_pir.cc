@@ -54,7 +54,7 @@ TEST_P(PirSweep, RetrievesCorrectEntry)
     Rng trng(target_seed);
     u64 target = trng.uniform(params.numEntries());
     PirQuery q = f.client.makeQuery(target);
-    BfvCiphertext resp = f.server.process(q);
+    BfvCiphertext resp = f.server.processAllPlanes(q)[0];
     EXPECT_EQ(f.client.decode(resp), f.db.entryCoeffs(target));
 }
 
@@ -74,7 +74,7 @@ TEST(Pir, AllEntriesOfSmallDatabase)
     PirFixture f(params, 42);
     for (u64 target = 0; target < params.numEntries(); ++target) {
         PirQuery q = f.client.makeQuery(target);
-        BfvCiphertext resp = f.server.process(q);
+        BfvCiphertext resp = f.server.processAllPlanes(q)[0];
         EXPECT_EQ(f.client.decode(resp), f.db.entryCoeffs(target))
             << "target " << target;
     }
@@ -119,7 +119,7 @@ TEST(Pir, ResponseNoiseWithinBudget)
     PirFixture f(params, 11);
     u64 target = 29;
     PirQuery q = f.client.makeQuery(target);
-    BfvCiphertext resp = f.server.process(q);
+    BfvCiphertext resp = f.server.processAllPlanes(q)[0];
     auto want = f.db.entryCoeffs(target);
     NoiseReport rep = f.client.responseNoise(resp, want);
     EXPECT_GT(rep.budgetBits, 2.0);
@@ -136,7 +136,7 @@ TEST(Pir, ErrorGrowsAdditivelyInD)
         u64 target = (u64{1} << d) * 3 + 5; // arbitrary valid entry
         target %= params.numEntries();
         PirQuery q = f.client.makeQuery(target);
-        BfvCiphertext resp = f.server.process(q);
+        BfvCiphertext resp = f.server.processAllPlanes(q)[0];
         auto want = f.db.entryCoeffs(target);
         double noise = f.client.responseNoise(resp, want).noiseBits;
         if (prev > 0.0) {
@@ -157,7 +157,8 @@ TEST(Pir, BatchProcessingMatchesIndividual)
     auto responses = processBatch(f.server, queries);
     ASSERT_EQ(responses.size(), targets.size());
     for (size_t i = 0; i < targets.size(); ++i) {
-        EXPECT_EQ(f.client.decode(responses[i]),
+        ASSERT_EQ(responses[i].size(), 1u);
+        EXPECT_EQ(f.client.decode(responses[i][0]),
                   f.db.entryCoeffs(targets[i]));
     }
 }
@@ -175,8 +176,8 @@ TEST(Pir, TwoClientsWithDistinctKeys)
     PirServer srvA(ctx, params, &db, alice.genPublicKeys());
     PirServer srvB(ctx, params, &db, bob.genPublicKeys());
 
-    auto respA = srvA.process(alice.makeQuery(3));
-    auto respB = srvB.process(bob.makeQuery(30));
+    auto respA = srvA.processAllPlanes(alice.makeQuery(3))[0];
+    auto respB = srvB.processAllPlanes(bob.makeQuery(30))[0];
     EXPECT_EQ(alice.decode(respA), db.entryCoeffs(3));
     EXPECT_EQ(bob.decode(respB), db.entryCoeffs(30));
     // Cross-decoding must NOT work (different secret keys).

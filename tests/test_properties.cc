@@ -44,7 +44,7 @@ expectRoundTrip(const PirParams &params, u64 seed)
     Database db = Database::random(ctx, params, seed + 1);
     PirServer server(ctx, params, &db, client.genPublicKeys());
     u64 target = (seed * 13) % params.numEntries();
-    BfvCiphertext resp = server.process(client.makeQuery(target));
+    BfvCiphertext resp = server.processAllPlanes(client.makeQuery(target))[0];
     EXPECT_EQ(client.decode(resp), db.entryCoeffs(target));
 }
 
@@ -89,7 +89,7 @@ TEST(Properties, DeterministicGivenSeeds)
         PirClient client(ctx, params, 9);
         Database db = Database::random(ctx, params, 10);
         PirServer server(ctx, params, &db, client.genPublicKeys());
-        return client.decode(server.process(client.makeQuery(11)));
+        return client.decode(server.processAllPlanes(client.makeQuery(11))[0]);
     };
     EXPECT_EQ(run(), run());
 }

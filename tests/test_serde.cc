@@ -563,8 +563,8 @@ TEST(Serde, DeserializedQueryAnswersIdentically)
     PirQuery q = client.makeQuery(6);
     PirQuery q2 =
         deserializeQuery(f.ctx, serializeQuery(f.ctx, q));
-    BfvCiphertext r1 = server.process(q);
-    BfvCiphertext r2 = server.process(q2);
+    BfvCiphertext r1 = server.processAllPlanes(q)[0];
+    BfvCiphertext r2 = server.processAllPlanes(q2)[0];
     EXPECT_EQ(r1.a, r2.a);
     EXPECT_EQ(r1.b, r2.b);
     EXPECT_EQ(client.decode(r1), db.entryCoeffs(6));

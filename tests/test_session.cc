@@ -107,8 +107,11 @@ TEST(Session, AllPlanesRetrievalThroughBlobs)
             << "plane " << plane;
 }
 
-TEST(Session, AnswerPlaneSelectsOnePlane)
+TEST(Session, AnswerIsThePipelineResponseSerialized)
 {
+    // answer() adds nothing to the pipeline but the wire format: its
+    // blob carries exactly processAllPlanes()'s ciphertexts, one per
+    // plane, in plane order.
     PirParams params = smallParams(8, 2, /*planes=*/2);
     ClientSession client(params, 15);
     ServerSession server(client.paramsBlob());
@@ -116,11 +119,17 @@ TEST(Session, AnswerPlaneSelectsOnePlane)
     server.ingestKeys(client.keyBlob());
     std::vector<u8> query = client.queryBlob(7);
 
+    PirResponse resp =
+        deserializeResponse(server.context(), server.answer(query));
+    PirServer direct(server.context(), params, &server.database(),
+                     deserializeCompatibleKeys(server.context(), params,
+                                               client.keyBlob()));
+    std::vector<BfvCiphertext> want = direct.processAllPlanes(
+        deserializeQuery(server.context(), query));
+    ASSERT_EQ(resp.planes.size(), 2u);
     for (int plane = 0; plane < 2; ++plane) {
-        std::vector<u8> blob = server.answerPlane(query, plane);
-        PirResponse resp =
-            deserializeResponse(server.context(), blob);
-        ASSERT_EQ(resp.planes.size(), 1u);
+        EXPECT_EQ(resp.planes[plane].a, want[plane].a) << plane;
+        EXPECT_EQ(resp.planes[plane].b, want[plane].b) << plane;
     }
 }
 
@@ -137,10 +146,16 @@ TEST(Session, BatchedQueriesByteIdenticalAcrossThreadCounts)
     for (u64 t : targets)
         queries.push_back(client.queryBlob(t));
 
+    auto answerAll = [&] {
+        std::vector<std::vector<u8>> out;
+        for (const auto &q : queries)
+            out.push_back(server.answer(q));
+        return out;
+    };
     ThreadPool::setGlobalThreads(1);
-    auto seq = server.answerBatch(queries);
+    auto seq = answerAll();
     ThreadPool::setGlobalThreads(8);
-    auto par = server.answerBatch(queries);
+    auto par = answerAll();
     ThreadPool::setGlobalThreads(1);
 
     ASSERT_EQ(seq.size(), targets.size());
@@ -180,9 +195,9 @@ TEST(Session, MalformedQueryBlobIsRejectedNotAnswered)
     EXPECT_THROW((void)server.answer(truncated), SerializeError);
     std::vector<u8> garbage(64, 0xA5);
     EXPECT_THROW((void)server.answer(garbage), SerializeError);
-    // Batch ingestion rejects the malformed blob up front, too.
-    EXPECT_THROW((void)server.answerBatch({query, truncated}),
-                 SerializeError);
+    // A rejected blob leaves the session serving.
+    auto planes = client.decodeResponse(server.answer(query));
+    EXPECT_EQ(planes[0], dbContent(params, 0, 0));
 }
 
 TEST(Session, KeyBlobFromShallowerClientIsRejected)

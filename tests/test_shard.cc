@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "common/thread_pool.hh"
+#include "shard/coordinator.hh"
 #include "shard/dispatcher.hh"
 
 using namespace ive;
@@ -75,6 +76,15 @@ makeCoordinator(Reference &ref, u32 num_shards)
     coord->fillDatabase(contentGenerator(ref.client.params()));
     coord->ingestKeys(ref.client.keyBlob());
     return coord;
+}
+
+/** Dispatcher work thunk answering through a shard coordinator. */
+ShardDispatcher::AnswerFn
+answerBy(ShardCoordinator &coord)
+{
+    return [&coord](const std::vector<u8> &blob) {
+        return coord.answer(blob);
+    };
 }
 
 } // namespace
@@ -191,7 +201,6 @@ TEST(Shard, ShardSessionRefusesMonolithicAnswer)
     shard.ingestKeys(ref.client.keyBlob());
     std::vector<u8> query = ref.client.queryBlob(3);
     EXPECT_THROW((void)shard.answer(query), std::logic_error);
-    EXPECT_THROW((void)shard.answerBatch({query}), std::logic_error);
     EXPECT_NO_THROW((void)shard.answerPartial(query));
 }
 
@@ -245,10 +254,16 @@ TEST(Shard, BatchByteIdenticalAcrossThreadCounts)
         queries.push_back(ref.client.queryBlob(t));
 
     auto coord = makeCoordinator(ref, 4);
+    auto answerAll = [&] {
+        std::vector<std::vector<u8>> out;
+        for (const auto &q : queries)
+            out.push_back(coord->answer(q));
+        return out;
+    };
     ThreadPool::setGlobalThreads(1);
-    auto seq = coord->answerBatch(queries);
+    auto seq = answerAll();
     ThreadPool::setGlobalThreads(8);
-    auto par = coord->answerBatch(queries);
+    auto par = answerAll();
     ThreadPool::setGlobalThreads(1);
 
     ASSERT_EQ(seq.size(), queries.size());
@@ -399,12 +414,13 @@ TEST(Dispatcher, FullBatchesDispatchWithoutWaitingForTheWindow)
     SchedulerConfig cfg;
     cfg.windowSec = 30.0; // Never expires inside the test.
     cfg.maxBatch = 2;
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
 
     std::vector<u64> targets{1, 9, 17, 25};
     std::vector<std::future<std::vector<u8>>> futures;
     for (u64 t : targets)
-        futures.push_back(dispatcher.submit(ref.client.queryBlob(t)));
+        futures.push_back(dispatcher.submit(ref.client.queryBlob(t),
+                                            answerBy(*coord)));
     for (size_t i = 0; i < targets.size(); ++i) {
         auto planes =
             ref.client.decodeResponse(futures[i].get());
@@ -431,10 +447,12 @@ TEST(Dispatcher, WindowExpiryDispatchesAPartialBatch)
     SchedulerConfig cfg;
     cfg.windowSec = 0.02;
     cfg.maxBatch = 64; // Never fills; only the window can dispatch.
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
 
-    auto f0 = dispatcher.submit(ref.client.queryBlob(5));
-    auto f1 = dispatcher.submit(ref.client.queryBlob(6));
+    auto f0 =
+        dispatcher.submit(ref.client.queryBlob(5), answerBy(*coord));
+    auto f1 =
+        dispatcher.submit(ref.client.queryBlob(6), answerBy(*coord));
     EXPECT_EQ(ref.client.decodeResponse(f0.get())[0],
               dbContent(params, 5, 0));
     EXPECT_EQ(ref.client.decodeResponse(f1.get())[0],
@@ -463,26 +481,42 @@ TEST(Dispatcher, ResponsesMatchDirectCoordinatorAnswers)
     SchedulerConfig cfg;
     cfg.windowSec = 0.005;
     cfg.maxBatch = 3;
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
     std::vector<std::future<std::vector<u8>>> futures;
     for (const auto &q : queries)
-        futures.push_back(dispatcher.submit(q));
+        futures.push_back(dispatcher.submit(q, answerBy(*coord)));
     for (size_t i = 0; i < queries.size(); ++i)
         EXPECT_EQ(futures[i].get(), direct[i]) << "query " << i;
 }
 
-TEST(Dispatcher, MalformedQueryFailsItsBatchWithSerializeError)
+TEST(Dispatcher, MalformedQueryFailsOnlyItselfWithinItsBatch)
 {
+    // Each thunk runs in its own error boundary: a malformed blob in
+    // the middle of a batch fails alone, and its batch-mates answer.
     PirParams params = smallParams(4, 1);
     Reference ref(params);
     auto coord = makeCoordinator(ref, 2);
 
     SchedulerConfig cfg;
-    cfg.windowSec = 0.005;
-    cfg.maxBatch = 8;
-    ShardDispatcher dispatcher(*coord, cfg);
-    auto bad = dispatcher.submit(std::vector<u8>(32, 0xA5));
+    cfg.windowSec = 30.0; // Only a full batch dispatches...
+    cfg.maxBatch = 3;     // ...so all three share one batch.
+    ShardDispatcher dispatcher(cfg);
+    auto first = dispatcher.submit(ref.client.queryBlob(1),
+                                   answerBy(*coord));
+    auto bad =
+        dispatcher.submit(std::vector<u8>(32, 0xA5), answerBy(*coord));
+    auto last = dispatcher.submit(ref.client.queryBlob(6),
+                                  answerBy(*coord));
+    EXPECT_EQ(ref.client.decodeResponse(first.get())[0],
+              dbContent(params, 1, 0));
     EXPECT_THROW((void)bad.get(), SerializeError);
+    EXPECT_EQ(ref.client.decodeResponse(last.get())[0],
+              dbContent(params, 6, 0));
+    dispatcher.drain();
+    DispatcherStats st = dispatcher.stats();
+    EXPECT_EQ(st.batches, 1u);
+    EXPECT_EQ(st.fullBatches, 1u);
+    EXPECT_EQ(st.completed, 3u);
 }
 
 // The TSan CI stage (scripts/ci.sh --tsan, -L thread) runs this suite
@@ -511,14 +545,15 @@ TEST(Dispatcher, ConcurrentSubmitDrainShutdownStress)
     cfg.maxBatch = 3;
     std::vector<std::future<std::vector<u8>>> futures(blobs.size());
     {
-        ShardDispatcher dispatcher(*coord, cfg);
+        ShardDispatcher dispatcher(cfg);
         std::vector<std::thread> submitters;
         for (int t = 0; t < kThreads; ++t) {
             submitters.emplace_back([&, t] {
                 for (int i = 0; i < kPerThread; ++i) {
                     size_t idx = static_cast<size_t>(t) * kPerThread +
                                  static_cast<size_t>(i);
-                    futures[idx] = dispatcher.submit(blobs[idx]);
+                    futures[idx] =
+                        dispatcher.submit(blobs[idx], answerBy(*coord));
                 }
             });
         }
@@ -557,8 +592,9 @@ TEST(Dispatcher, DestructorFlushesQueuedQueries)
         SchedulerConfig cfg;
         cfg.windowSec = 30.0; // Would outlive the test...
         cfg.maxBatch = 64;
-        ShardDispatcher dispatcher(*coord, cfg);
-        fut = dispatcher.submit(ref.client.queryBlob(2));
+        ShardDispatcher dispatcher(cfg);
+        fut = dispatcher.submit(ref.client.queryBlob(2),
+                                answerBy(*coord));
         // ...but shutdown closes the window immediately.
     }
     EXPECT_EQ(ref.client.decodeResponse(fut.get())[0],
