@@ -194,20 +194,86 @@ BM_NttInverse(benchmark::State &state)
 }
 BENCHMARK(BM_NttInverse);
 
+namespace {
+
+/**
+ * A D0 = 64-link, two-column RowSel pass over every prime of the
+ * fixture ring: distinct random canonical database and leaf planes
+ * (16 MiB of database), u64 lazy chains, one reduction per output
+ * word. Throughput is reported in bytes of database streamed.
+ */
+struct RowSelChain
+{
+    static constexpr u64 kLinks = 64;
+    static constexpr u64 kCols = 2;
+
+    RowSelChain()
+    {
+        const Ring &ring = fixture().ctx.ring();
+        const u64 n = ring.n;
+        Rng rng(9);
+        auto plane = [&](u64 q) {
+            std::vector<u64> v(n);
+            for (u64 &c : v)
+                c = rng.uniform(q);
+            return v;
+        };
+        // Per prime: the link-major database planes, then the a and b
+        // leaf planes (moving a plane keeps its buffer, so the
+        // pointers stay valid as `planes` grows).
+        const u64 per = kLinks * kCols + 2 * kLinks;
+        for (int p = 0; p < ring.k(); ++p) {
+            for (u64 i = 0; i < per; ++i) {
+                planes.push_back(plane(ring.base.modulus(p).value()));
+                ptrs.push_back(planes.back().data());
+            }
+        }
+        for (int p = 0; p < ring.k(); ++p) {
+            const u64 *const *base = ptrs.data() + static_cast<u64>(p) * per;
+            runs.push_back({base, base + kLinks * kCols,
+                            base + kLinks * kCols + kLinks, kLinks, kCols});
+        }
+    }
+
+    void
+    run(benchmark::State &state, const simd::Kernels &k) const
+    {
+        const Ring &ring = fixture().ctx.ring();
+        const u64 n = ring.n;
+        std::vector<u64> acc(2 * kCols * n), out(2 * kCols * n);
+        for (auto _ : state) {
+            for (int p = 0; p < ring.k(); ++p) {
+                const Modulus &mod = ring.base.modulus(p);
+                k.rowSelMac(acc.data(), runs[static_cast<u64>(p)], n, mod);
+                for (u64 s = 0; s < 2 * kCols; ++s)
+                    k.lazyReduceAdd(out.data() + s * n, acc.data() + s * n,
+                                    n, mod);
+            }
+            benchmark::DoNotOptimize(out.data());
+        }
+        state.SetBytesProcessed(state.iterations() * kLinks * kCols *
+                                ring.words() * 8);
+    }
+
+    std::vector<std::vector<u64>> planes;
+    std::vector<const u64 *> ptrs;
+    std::vector<simd::RowSelRun> runs;
+};
+
+const RowSelChain &
+rowSelChain()
+{
+    static const RowSelChain c;
+    return c;
+}
+
+} // namespace
+
 static void
 BM_RowSelMac(benchmark::State &state)
 {
-    // One plaintext-ciphertext multiply-accumulate: the unit of RowSel.
-    auto &f = fixture();
-    BfvCiphertext acc;
-    acc.a = RnsPoly(f.ctx.ring(), Domain::Ntt);
-    acc.b = RnsPoly(f.ctx.ring(), Domain::Ntt);
-    for (auto _ : state) {
-        plainMulAcc(f.ctx, acc, f.dbEntry, f.ct);
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetBytesProcessed(state.iterations() *
-                            f.ctx.ring().words() * 8);
+    // RowSel's kernel on the active backend, in GB/s of database.
+    rowSelChain().run(state, simd::active());
 }
 BENCHMARK(BM_RowSelMac);
 
@@ -337,6 +403,12 @@ isaMacChain(benchmark::State &state, const simd::Kernels *k)
 }
 
 void
+isaRowSelMac(benchmark::State &state, const simd::Kernels *k)
+{
+    rowSelChain().run(state, *k);
+}
+
+void
 isaApplyCoeffMap(benchmark::State &state, const simd::Kernels *k)
 {
     auto &f = fixture();
@@ -365,6 +437,7 @@ registerIsaBenches()
         registerIsaBench("NttForward", k, &isaNttForward);
         registerIsaBench("NttInverse", k, &isaNttInverse);
         registerIsaBench("MacChain", k, &isaMacChain);
+        registerIsaBench("RowSelMac", k, &isaRowSelMac);
         registerIsaBench("ApplyCoeffMap", k, &isaApplyCoeffMap);
     }
     return 0;

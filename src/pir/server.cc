@@ -304,25 +304,77 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
     StageMetrics &sm = stageMetrics();
     obs::StageSpan span(&sm.rowsel, "rowsel");
     ive_assert(leaves.size() >= params_.d0);
-    u64 cols = localColumns();
-    u64 first = db_->firstEntry();
-
-    // Columns are independent; within one column the accumulation
-    // order is fixed, so the output is identical at any thread count.
-    // Per column, the D0-long plainMulAcc chain accumulates raw u128
-    // products and defers the Barrett reduction to one final pass per
-    // output word (fused primes).
+    const u64 cols = localColumns();
+    const u64 first = db_->firstEntry();
     const Ring &ring = ctx_.ring();
     const u64 n = ring.n;
     const int nk = ring.k();
     const u64 words = ring.words();
     const u64 d0 = params_.d0;
 
+    // Column c's chain is the D0 products entry(c, i) o leaf_i, per side
+    // and prime. Fused primes (q < 2^32) sum canonical products as raw
+    // u64 lanes and reduce every lazyChainLimit(q) links — never, for
+    // the 27-bit IVE primes and D0 <= 256; strict primes
+    // multiply-accumulate canonically. Integer sums are exact, so
+    // however a chain is grouped, split or chunked the output equals
+    // the unsplit chain bit for bit, at any thread count.
+    //
+    // macRows runs rows [from, to) of columns [c0, c0 + nc), nc <= 2,
+    // for one prime. The kernel writes raw sums into `lazy` (2 * nc
+    // planes of n words, per column a side then b). With out == nullptr
+    // they stay there (a fused prime whose chain fits its limit: the
+    // caller merges and reduces); otherwise each chunk is reduced onto
+    // the canonical planes out[2c + side].
+    auto macRows = [&](int p, u64 c0, u64 nc, u64 from, u64 to, u64 *lazy,
+                       u64 *const *out) {
+        const Modulus &mod = ring.base.modulus(p);
+        auto entry = [&](u64 c, u64 i) {
+            return db_->entry(first + (c0 + c) * d0 + i, plane)
+                .residues(p)
+                .data();
+        };
+        if (!kernels::fusedMacOk(mod)) {
+            for (u64 i = from; i < to; ++i) {
+                for (u64 c = 0; c < nc; ++c) {
+                    kernels::mulAccVec(out[2 * c], entry(c, i),
+                                       leaves[i].a.residues(p).data(), n,
+                                       mod);
+                    kernels::mulAccVec(out[2 * c + 1], entry(c, i),
+                                       leaves[i].b.residues(p).data(), n,
+                                       mod);
+                }
+            }
+            return;
+        }
+        const u64 limit = kernels::lazyChainLimit(mod.value());
+        ive_assert(out != nullptr || to - from <= limit);
+        // Pointer scratch, per thread and reused across calls.
+        thread_local std::vector<const u64 *> ptrs;
+        ptrs.resize((nc + 2) * std::min(limit, to - from));
+        for (u64 lo = from; lo < to;) {
+            const u64 links = std::min(limit, to - lo);
+            const u64 **db = ptrs.data();
+            const u64 **la = db + nc * links;
+            const u64 **lb = la + links;
+            for (u64 i = 0; i < links; ++i) {
+                for (u64 c = 0; c < nc; ++c)
+                    db[i * nc + c] = entry(c, lo + i);
+                la[i] = leaves[lo + i].a.residues(p).data();
+                lb[i] = leaves[lo + i].b.residues(p).data();
+            }
+            kernels::rowSelMac(lazy, {db, la, lb, links, nc}, n, mod);
+            if (out != nullptr) {
+                for (u64 k = 0; k < 2 * nc; ++k)
+                    kernels::lazyReduceAdd(out[k], lazy + k * n, n, mod);
+            }
+            lo += links;
+        }
+    };
+
     // When whole columns cannot fill the lanes (shard slices, small d),
-    // split each column's D0-long chain into per-segment partial
-    // accumulators and merge them with one deferred reduction. u128
-    // accumulation is exact and modular addition is associative, so the
-    // merged total equals the unsplit chain bit-for-bit.
+    // split each column's chain into per-segment partials merged in
+    // ascending order.
     u64 segs = 1;
     const u64 pool =
         static_cast<u64>(ThreadPool::global().size());
@@ -333,41 +385,26 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
 
     std::vector<BfvCiphertext> out(cols);
     if (segs <= 1) {
-        parallelFor(0, cols, [&](u64 r) {
-            PolyWorkspace &ws = PolyWorkspace::local();
-            BfvCiphertext acc;
-            acc.a = RnsPoly(ring, Domain::Ntt);
-            acc.b = RnsPoly(ring, Domain::Ntt);
-            AccLease mac(ws, 2 * words);
-            u128 *acc_a = mac.data();
-            u128 *acc_b = mac.data() + words;
-            for (u64 i = 0; i < d0; ++i) {
-                const RnsPoly &entry =
-                    db_->entry(first + r * d0 + i, plane);
-                const BfvCiphertext &leaf = leaves[i];
-                for (int p = 0; p < nk; ++p) {
-                    const Modulus &mod = ring.base.modulus(p);
-                    const u64 *pe = entry.residues(p).data();
-                    kernels::chainMacAcc(mod, n,
-                                         acc_a + static_cast<u64>(p) * n,
-                                         acc.a.residues(p).data(), pe,
-                                         leaf.a.residues(p).data());
-                    kernels::chainMacAcc(mod, n,
-                                         acc_b + static_cast<u64>(p) * n,
-                                         acc.b.residues(p).data(), pe,
-                                         leaf.b.residues(p).data());
-                }
+        // Two columns per task when that still leaves every lane a
+        // task: each leaf load then feeds both columns. cols is a power
+        // of two, so pairs never leave a tail.
+        const u64 nc = cols >= 2 * pool ? 2 : 1;
+        ive_assert(cols % nc == 0);
+        parallelFor(0, cols / nc, [&](u64 t) {
+            const u64 c0 = t * nc;
+            WordLease lazy(PolyWorkspace::local(), 2 * nc * n);
+            for (u64 c = c0; c < c0 + nc; ++c) {
+                out[c].a = RnsPoly(ring, Domain::Ntt);
+                out[c].b = RnsPoly(ring, Domain::Ntt);
             }
             for (int p = 0; p < nk; ++p) {
-                const Modulus &mod = ring.base.modulus(p);
-                kernels::chainMacFinish(mod, n,
-                                        acc_a + static_cast<u64>(p) * n,
-                                        acc.a.residues(p).data(), false);
-                kernels::chainMacFinish(mod, n,
-                                        acc_b + static_cast<u64>(p) * n,
-                                        acc.b.residues(p).data(), false);
+                u64 *planes[4];
+                for (u64 c = 0; c < nc; ++c) {
+                    planes[2 * c] = out[c0 + c].a.residues(p).data();
+                    planes[2 * c + 1] = out[c0 + c].b.residues(p).data();
+                }
+                macRows(p, c0, nc, 0, d0, lazy.data(), planes);
             }
-            out[r] = std::move(acc);
         });
         counters_.plainMulAccs.fetch_add(cols * d0,
                                          std::memory_order_relaxed);
@@ -377,83 +414,64 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
 
     // Segmented path. Partials outlive the task that produced them (the
     // merge runs on a different thread), so they live in one block
-    // leased by the coordinating thread, not in per-worker pools.
-    // Slice (r, s) = task r*segs + s holds 2*words u128 planes (fused
-    // primes) and 2*words u64 planes (strict primes), a side then b.
+    // leased by the coordinating thread. Slice (r, s) = task r*segs + s
+    // holds 2*words words, prime-major, a side then b. A fused prime
+    // whose whole chain fits its lazy limit keeps raw u64 partials,
+    // merged raw and reduced once; any other prime keeps canonical
+    // partials, summed mod q.
     PolyWorkspace &ws = PolyWorkspace::local();
-    AccLease mac(ws, cols * segs * 2 * words);
-    WordLease strict(ws, cols * segs * 2 * words);
+    WordLease part(ws, cols * segs * 2 * words);
+    auto rawPartials = [&](int p) {
+        return d0 <= kernels::lazyChainLimit(ring.base.modulus(p).value());
+    };
 
     // Phase A: each (column, segment) task accumulates its row range.
     // Segment boundaries depend only on (d0, segs) — deterministic and
     // balanced; segs <= d0 keeps every segment non-empty.
     parallelFor(0, cols * segs, [&](u64 task) {
-        u64 r = task / segs;
-        u64 s = task % segs;
-        u64 row_from = s * d0 / segs;
-        u64 row_to = (s + 1) * d0 / segs;
-        u128 *acc_a = mac.data() + task * 2 * words;
-        u128 *acc_b = acc_a + words;
-        u64 *dst_a = strict.data() + task * 2 * words;
-        u64 *dst_b = dst_a + words;
+        const u64 r = task / segs;
+        const u64 s = task % segs;
+        const u64 from = s * d0 / segs;
+        const u64 to = (s + 1) * d0 / segs;
+        WordLease lazy(PolyWorkspace::local(), 2 * n);
         for (int p = 0; p < nk; ++p) {
-            const Modulus &mod = ring.base.modulus(p);
-            kernels::chainMacBegin(mod, n,
-                                   dst_a + static_cast<u64>(p) * n);
-            kernels::chainMacBegin(mod, n,
-                                   dst_b + static_cast<u64>(p) * n);
-        }
-        for (u64 i = row_from; i < row_to; ++i) {
-            const RnsPoly &entry =
-                db_->entry(first + r * d0 + i, plane);
-            const BfvCiphertext &leaf = leaves[i];
-            for (int p = 0; p < nk; ++p) {
-                const Modulus &mod = ring.base.modulus(p);
-                const u64 *pe = entry.residues(p).data();
-                kernels::chainMacAcc(mod, n,
-                                     acc_a + static_cast<u64>(p) * n,
-                                     dst_a + static_cast<u64>(p) * n,
-                                     pe, leaf.a.residues(p).data());
-                kernels::chainMacAcc(mod, n,
-                                     acc_b + static_cast<u64>(p) * n,
-                                     dst_b + static_cast<u64>(p) * n,
-                                     pe, leaf.b.residues(p).data());
+            u64 *planes = part.data() + task * 2 * words +
+                          static_cast<u64>(p) * 2 * n;
+            if (rawPartials(p)) {
+                macRows(p, r, 1, from, to, planes, nullptr);
+                continue;
             }
+            std::fill(planes, planes + 2 * n, 0);
+            u64 *const sides[2] = {planes, planes + n};
+            macRows(p, r, 1, from, to, lazy.data(), sides);
         }
     });
 
-    // Phase B: per column, merge segments in ascending order and pay
-    // the chain's single deferred reduction on the merged total (fused)
-    // or sum the canonical partials (strict). mergeMacPartial audits
-    // the per-partial headroom contract in checked builds.
+    // Phase B: per column, merge segments in ascending order.
+    // mergeLazyPartial audits the merged chain length in checked builds.
     parallelFor(0, cols, [&](u64 r) {
         BfvCiphertext acc;
         acc.a = RnsPoly(ring, Domain::Ntt);
         acc.b = RnsPoly(ring, Domain::Ntt);
-        for (int side = 0; side < 2; ++side) {
-            RnsPoly &out_poly = side == 0 ? acc.a : acc.b;
-            const u64 base = r * segs * 2 * words +
-                             static_cast<u64>(side) * words;
-            for (int p = 0; p < nk; ++p) {
-                const Modulus &mod = ring.base.modulus(p);
-                const u64 off = static_cast<u64>(p) * n;
-                u64 *dst = out_poly.residues(p).data();
-                if (kernels::fusedMacOk(mod)) {
-                    u128 *total = mac.data() + base + off;
-                    kernels::auditMacPartial(total, n);
+        u64 *base = part.data() + r * segs * 2 * words;
+        for (int p = 0; p < nk; ++p) {
+            const Modulus &mod = ring.base.modulus(p);
+            for (int side = 0; side < 2; ++side) {
+                const u64 off = static_cast<u64>(p) * 2 * n +
+                                static_cast<u64>(side) * n;
+                u64 *dst = (side == 0 ? acc.a : acc.b).residues(p).data();
+                u64 *total = base + off;
+                if (rawPartials(p)) {
                     for (u64 s = 1; s < segs; ++s)
-                        kernels::mergeMacPartial(
-                            total, mac.data() + base + s * 2 * words + off,
-                            n);
-                    kernels::macReduce(dst, total, n, mod);
+                        kernels::mergeLazyPartial(
+                            total, base + s * 2 * words + off, n,
+                            (s + 1) * d0 / segs, mod);
+                    kernels::lazyReduceAdd(dst, total, n, mod);
                 } else {
-                    const u64 *part0 = strict.data() + base + off;
-                    std::copy(part0, part0 + n, dst);
+                    std::copy(total, total + n, dst);
                     for (u64 s = 1; s < segs; ++s)
-                        kernels::addVec(
-                            dst,
-                            strict.data() + base + s * 2 * words + off,
-                            n, mod.value());
+                        kernels::addVec(dst, base + s * 2 * words + off,
+                                        n, mod.value());
                 }
             }
         }

@@ -19,13 +19,20 @@
  *    Dispatched via NttTable::forward/inverse, not this header.
  *
  *  - Fused dyadic multiply-accumulate: when q < 2^32 each product of
- *    canonical residues fits in 64 bits, so a u128 accumulator absorbs
- *    up to 2^32 terms without overflow (the vector backends fold the
- *    accumulator high word with a 2^64 mod q multiply, which caps the
- *    chain length — far above the D0-long RowSel chains and 2l-row
- *    external-product sums) and Barrett reduction is paid once per
- *    output word per *chain*. Larger test primes fall back to the
- *    strict per-product kernels.
+ *    canonical residues fits in 64 bits, so Barrett reduction is paid
+ *    once per output word per *chain*, not per product. Two chain
+ *    shapes share that bound:
+ *      - RowSel's D0-long columns sum products as raw u64 lanes (one
+ *        vpmuludq + vpaddq each, no carries), which is exact for
+ *        lazyChainLimit(q) = floor((2^64-1)/(q-1)^2) links — about 960
+ *        for the 27-bit IVE primes, so shipped D0 <= 256 chains reduce
+ *        once at the end; other primes reduce every lazyChainLimit(q)
+ *        links.
+ *      - The external product's 2l-row sums and Subs' key-switch sums
+ *        keep u128 accumulators, which absorb up to 2^32 terms (the
+ *        vector backends fold the high word with a 2^64 mod q
+ *        multiply, which caps the chain length).
+ *    Larger test primes fall back to the strict per-product kernels.
  *
  * The strict NTT reference transforms are kept inline here for
  * differential tests and before/after microbenchmarks; they are not
@@ -43,6 +50,7 @@
 #include "common/contracts.hh"
 #include "common/types.hh"
 #include "modmath/modulus.hh"
+#include "modmath/primes.hh"
 #include "poly/simd/simd.hh"
 
 namespace ive::kernels {
@@ -232,53 +240,88 @@ macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
     simd::active().macReduceAdd(dst, acc, n, mod);
 }
 
+// --- RowSel u64 lazy MAC chains --------------------------------------
+
 /**
- * Checked-build audit of the per-partial fused-MAC bound: a raw u128
- * partial accumulator about to be merged must still satisfy
- * acc >> 64 < 2^32 — the same headroom macReduce requires of a whole
- * chain — or the merged sum could wrap past 128 bits and silently
+ * Longest u64 lazy chain for modulus q: each product of canonical
+ * residues is at most (q-1)^2, so floor((2^64-1) / (q-1)^2) of them sum
+ * without wrapping. About 960 links for the 27-bit IVE primes, 1 just
+ * below 2^32, and 0 once (q-1)^2 no longer fits 64 bits (strict
+ * primes).
+ */
+constexpr u64
+lazyChainLimit(u64 q)
+{
+    const u64 m = q - 1; // >= 1: moduli are > 1
+    return (m >> 32) ? 0 : ~u64{0} / (m * m);
+}
+
+// The shipped D0 <= 256 RowSel chains need no mid-chain reduction
+// under any IVE prime.
+static_assert(lazyChainLimit(kIvePrimes[3]) >= 256,
+              "IVE primes must admit a 256-link lazy chain");
+static_assert(lazyChainLimit(simd::kFusedMacModulusBound - 1) >= 1,
+              "every fused prime must admit a one-link lazy chain");
+
+/**
+ * Checked-build audit of the u64 lazy chain bound: a chain (one kernel
+ * run, or raw partials about to be merged) of `links` products must
+ * stay within lazyChainLimit(q), or a lane would wrap and silently
  * produce a wrong (often still-decryptable) result. Compiles to
  * nothing unless -DIVE_CHECK_RANGES=ON.
  */
 inline void
-auditMacPartial(const u128 *acc, u64 n)
+auditLazyChain(u64 links, const Modulus &mod)
 {
 #if IVE_RANGE_CHECKS_ENABLED
-    for (u64 i = 0; i < n; ++i)
-        ive_contract((acc[i] >> 64) < simd::kFusedMacModulusBound,
-                     "fused-MAC partial accumulator: acc >> 64 < 2^32 "
-                     "must hold per partial before the merge");
+    ive_contract(links <= lazyChainLimit(mod.value()),
+                 "u64 lazy MAC chain within floor((2^64-1)/(q-1)^2) "
+                 "links");
 #else
-    (void)acc;
-    (void)n;
+    (void)links;
+    (void)mod;
 #endif
 }
 
+/** One lazy chain segment; see simd::Kernels::rowSelMac. */
+inline void
+rowSelMac(u64 *acc, const simd::RowSelRun &run, u64 n, const Modulus &mod)
+{
+    simd::active().rowSelMac(acc, run, n, mod);
+}
+
+/** dst[i] = dst[i] + (acc[i] mod q) mod q: a lazy chain's reduction. */
+inline void
+lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod)
+{
+    simd::active().lazyReduceAdd(dst, acc, n, mod);
+}
+
 /**
- * dst[i] += src[i] as raw u128 sums: merges one per-thread partial
- * accumulator of a split MAC chain into the running total. Integer
- * addition is exact and associative, so merging S partials in any
- * fixed order equals the unsplit chain bit-for-bit; the single
- * deferred Barrett reduction (macReduce) still happens once, on the
- * merged total. Audits the per-partial range contract in checked
- * builds.
+ * dst[i] += src[i] as raw u64 sums: merges one raw partial of a split
+ * lazy chain into the running total. Integer addition is exact, so
+ * merging in any order equals the unsplit chain bit for bit, provided
+ * the merged chain of `merged_links` products stays within
+ * lazyChainLimit(q) (audited in checked builds).
  */
 inline void
-mergeMacPartial(u128 *dst, const u128 *src, u64 n)
+mergeLazyPartial(u64 *dst, const u64 *src, u64 n, u64 merged_links,
+                 const Modulus &mod)
 {
-    auditMacPartial(src, n);
+    auditLazyChain(merged_links, mod);
     for (u64 i = 0; i < n; ++i)
         dst[i] += src[i];
 }
 
 // --- per-plane MAC-chain dispatch ------------------------------------
 //
-// The chain sites (RowSel columns, the external product's 2l-row sums,
-// Subs' key-switch sums) share one policy: fused primes accumulate raw
-// u128 products and reduce once at the end, strict primes
+// The u128 chain sites (the external product's 2l-row sums, Subs'
+// key-switch sums) share one policy: fused primes accumulate raw u128
+// products and reduce once at the end, strict primes
 // multiply-accumulate canonically into the destination plane as they
 // go. Keeping the dispatch here means a policy change (say, a
-// different fused bound) edits exactly one place.
+// different fused bound) edits exactly one place. RowSel runs its own
+// u64 lazy chains (rowSelMac above).
 
 /**
  * Prepares a destination plane for a chain: strict primes accumulate

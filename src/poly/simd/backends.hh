@@ -55,6 +55,32 @@ scalarInvButterflyBlock(u64 *x, u64 *y, u64 t, u64 w, u64 ws, u64 q)
     }
 }
 
+/**
+ * RowSel lazy MAC over coefficients [from, n): the scalar body of
+ * Kernels::rowSelMac, shared with the vector backends' loop tails.
+ */
+inline void
+scalarRowSelMacRange(u64 *acc, const RowSelRun &run, u64 from, u64 n)
+{
+    for (u64 c = 0; c < run.cols; ++c) {
+        u64 *acc_a = acc + 2 * c * n;
+        u64 *acc_b = acc_a + n;
+        for (u64 j = from; j < n; ++j) {
+            acc_a[j] = 0;
+            acc_b[j] = 0;
+        }
+        for (u64 i = 0; i < run.links; ++i) {
+            const u64 *d = run.db[i * run.cols + c];
+            const u64 *la = run.leafA[i];
+            const u64 *lb = run.leafB[i];
+            for (u64 j = from; j < n; ++j) {
+                acc_a[j] += d[j] * la[j];
+                acc_b[j] += d[j] * lb[j];
+            }
+        }
+    }
+}
+
 extern const Kernels kScalarKernels;
 #ifdef IVE_SIMD_HAVE_AVX2
 extern const Kernels kAvx2Kernels;
@@ -97,6 +123,8 @@ void mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n,
 void macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n);
 void macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod);
 void macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod);
+void rowSelMac(u64 *acc, const RowSelRun &run, u64 n, const Modulus &mod);
+void lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod);
 void applyCoeffMap(u64 *dst, const u64 *src, const u64 *map, u64 n,
                    u64 q);
 

@@ -13,8 +13,8 @@
  * x86-64.
  *
  * Contracts (shared with all backends, see simd.hh):
- *  - macAccumulate inputs are < 2^32 (the fused-MAC chain policy only
- *    runs below 32-bit moduli)
+ *  - macAccumulate and rowSelMac inputs are < 2^32 (the fused-MAC
+ *    chain policy only runs below 32-bit moduli)
  *  - macReduce/macReduceAdd accumulators satisfy acc >> 64 < 2^32
  *  - everything produces outputs bit-identical to the scalar backend
  */
@@ -23,6 +23,7 @@
 
 #include "poly/kernels.hh"
 #include "poly/simd/backends.hh"
+#include "poly/simd/rowsel_mac.hh"
 
 namespace ive::simd {
 namespace {
@@ -461,6 +462,46 @@ macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
         scalar::macReduceAdd(dst + i, acc + i, n - i, mod);
 }
 
+/** 4-lane ops for the shared RowSel lazy MAC loop. */
+struct RowSelLanes
+{
+    static constexpr u64 kLanes = 4;
+    using Reg = __m256i;
+    static Reg
+    load(const u64 *p)
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+    }
+    static void
+    store(u64 *p, Reg v)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
+    }
+    static Reg mul32(Reg a, Reg b) { return _mm256_mul_epu32(a, b); }
+    static Reg add(Reg a, Reg b) { return _mm256_add_epi64(a, b); }
+};
+
+void
+lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod)
+{
+    const u64 q = mod.value();
+    __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
+    __m256i mh =
+        _mm256_set1_epi64x(static_cast<long long>(mod.barrettHi()));
+    u64 i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        __m256i r = reduce64(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(acc + i)),
+            mh, qv);
+        __m256i d =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(dst + i));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
+                            csub(_mm256_add_epi64(d, r), qv));
+    }
+    if (i < n)
+        scalar::lazyReduceAdd(dst + i, acc + i, n - i, mod);
+}
+
 } // namespace
 
 const Kernels kAvx2Kernels = {
@@ -478,6 +519,8 @@ const Kernels kAvx2Kernels = {
     &macAccumulate,
     &macReduce,
     &macReduceAdd,
+    &rowsel::mac<RowSelLanes>,
+    &lazyReduceAdd,
     // No scatter on AVX2: the permutation keeps the scalar loop.
     &scalar::applyCoeffMap,
 };

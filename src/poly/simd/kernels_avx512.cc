@@ -12,8 +12,8 @@
  * Compiled with -mavx512f -mavx512dq -mavx512vl in its own TU; only
  * reached behind the runtime cpuid check in simd.cc. Same contracts as
  * every backend (see simd.hh): outputs bit-identical to scalar,
- * macAccumulate inputs < 2^32, macReduce accumulator high words
- * < 2^32.
+ * macAccumulate and rowSelMac inputs < 2^32, macReduce accumulator
+ * high words < 2^32.
  */
 
 #include <immintrin.h>
@@ -21,6 +21,7 @@
 #include "poly/kernels.hh"
 #include "poly/simd/avx512_tail.hh"
 #include "poly/simd/backends.hh"
+#include "poly/simd/rowsel_mac.hh"
 
 namespace ive::simd {
 namespace {
@@ -423,6 +424,34 @@ macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
         scalar::macReduceAdd(dst + i, acc + i, n - i, mod);
 }
 
+/** 8-lane ops for the shared RowSel lazy MAC loop. */
+struct RowSelLanes
+{
+    static constexpr u64 kLanes = 8;
+    using Reg = __m512i;
+    static Reg load(const u64 *p) { return _mm512_loadu_si512(p); }
+    static void store(u64 *p, Reg v) { _mm512_storeu_si512(p, v); }
+    static Reg mul32(Reg a, Reg b) { return _mm512_mul_epu32(a, b); }
+    static Reg add(Reg a, Reg b) { return _mm512_add_epi64(a, b); }
+};
+
+void
+lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod)
+{
+    const u64 q = mod.value();
+    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+    __m512i mh =
+        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
+    u64 i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        __m512i r = reduce64(_mm512_loadu_si512(acc + i), mh, qv);
+        __m512i d = _mm512_loadu_si512(dst + i);
+        _mm512_storeu_si512(dst + i, csub(_mm512_add_epi64(d, r), qv));
+    }
+    if (i < n)
+        scalar::lazyReduceAdd(dst + i, acc + i, n - i, mod);
+}
+
 void
 applyCoeffMap(u64 *dst, const u64 *src, const u64 *map, u64 n, u64 q)
 {
@@ -465,6 +494,8 @@ const Kernels kAvx512Kernels = {
     &macAccumulate,
     &macReduce,
     &macReduceAdd,
+    &rowsel::mac<RowSelLanes>,
+    &lazyReduceAdd,
     &applyCoeffMap,
 };
 

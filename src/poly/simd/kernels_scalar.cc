@@ -243,6 +243,32 @@ macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
 }
 
 void
+rowSelMac(u64 *acc, const RowSelRun &run, u64 n, const Modulus &mod)
+{
+    const u64 q = mod.value();
+    kernels::auditLazyChain(run.links, mod);
+    for (u64 i = 0; i < run.links; ++i) {
+        for (u64 c = 0; c < run.cols; ++c)
+            auditBelow(run.db[i * run.cols + c], n, q,
+                       kVecOperandContract);
+        auditBelow(run.leafA[i], n, q, kVecOperandContract);
+        auditBelow(run.leafB[i], n, q, kVecOperandContract);
+    }
+    scalarRowSelMacRange(acc, run, 0, n);
+}
+
+void
+lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod)
+{
+    const u64 q = mod.value();
+    auditBelow(dst, n, q, kVecOperandContract);
+    for (u64 i = 0; i < n; ++i) {
+        u64 s = dst[i] + mod.reduce(acc[i]);
+        dst[i] = s >= q ? s - q : s;
+    }
+}
+
+void
 applyCoeffMap(u64 *dst, const u64 *src, const u64 *map, u64 n, u64 q)
 {
     auditBelow(src, n, q, kVecOperandContract);
@@ -273,6 +299,8 @@ const Kernels kScalarKernels = {
     &scalar::macAccumulate,
     &scalar::macReduce,
     &scalar::macReduceAdd,
+    &scalar::rowSelMac,
+    &scalar::lazyReduceAdd,
     &scalar::applyCoeffMap,
 };
 

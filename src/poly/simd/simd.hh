@@ -59,16 +59,17 @@ const char *isaName(Isa isa);
 // common/contracts.hh).
 
 /**
- * Moduli below this engage the fused u128 MAC chain: canonical
- * products fit 64 bits and the vector reducers fold the accumulator
- * high word with one 2^64-mod-q multiply.
+ * Moduli below this engage the fused MAC chains: canonical products fit
+ * 64 bits, so RowSel sums them as raw u64 lanes (rowSelMac) and the
+ * u128 chain's vector reducers fold the accumulator high word with one
+ * 2^64-mod-q multiply.
  */
 inline constexpr u64 kFusedMacModulusBound = u64{1} << 32;
 
 /**
- * Longest fused chain the deferred-Barrett reducers admit: the
- * accumulator high word must stay below 2^32. Actual chains (D0-long
- * RowSel columns, 2l-row key-switch sums) are orders of magnitude
+ * Longest u128 fused chain the deferred-Barrett reducers admit: the
+ * accumulator high word must stay below 2^32. Actual chains (2l-row
+ * external-product and key-switch sums) are orders of magnitude
  * shorter.
  */
 inline constexpr u64 kFusedMacMaxChain = u64{1} << 32;
@@ -109,6 +110,22 @@ struct NttTwiddles
     const u64 *tw = nullptr;
     const u64 *twShoup = nullptr;
     const u64 *twShoup52 = nullptr;
+};
+
+/**
+ * One RowSel lazy-chain segment over a single prime: `links` chain
+ * links of `cols` (1 or 2) database columns against shared leaf
+ * planes. db holds links * cols entry residue planes, link-major
+ * (db[i * cols + c]); leafA / leafB hold each link's leaf a / b
+ * residue planes.
+ */
+struct RowSelRun
+{
+    const u64 *const *db = nullptr;
+    const u64 *const *leafA = nullptr;
+    const u64 *const *leafB = nullptr;
+    u64 links = 0;
+    u64 cols = 1;
 };
 
 /**
@@ -157,6 +174,22 @@ struct Kernels
     /** dst[i] = dst[i] + (acc[i] mod q) mod q, same contract. */
     void (*macReduceAdd)(u64 *dst, const u128 *acc, u64 n,
                          const Modulus &mod);
+
+    // RowSel u64 lazy MAC (see poly/kernels.hh for the chain policy).
+    /**
+     * acc[(2c + s) * n + j] = sum over links i of
+     * db[i * cols + c][j] * leaf_s[i][j] (s = 0: leafA, 1: leafB) as
+     * raw u64 sums, overwriting acc (2 * cols planes of n words).
+     * Each database word is loaded once per link and feeds both sides;
+     * with cols = 2 each leaf load feeds both columns. Operands are
+     * canonical residues of mod (q < 2^32) and run.links must not
+     * exceed kernels::lazyChainLimit(q), so no lane wraps.
+     */
+    void (*rowSelMac)(u64 *acc, const RowSelRun &run, u64 n,
+                      const Modulus &mod);
+    /** dst[i] = (dst[i] + (acc[i] mod q)) mod q for any u64 acc[i]. */
+    void (*lazyReduceAdd)(u64 *dst, const u64 *acc, u64 n,
+                          const Modulus &mod);
 
     /**
      * Prime-major automorphism / monomial permutation: for each i,

@@ -164,41 +164,86 @@ TEST(Contracts, MacReduceRejectsAccumulatorHighWordAtBound)
         ContractViolation);
 }
 
-TEST(Contracts, MergeMacPartialRejectsHighWordAtBound)
+namespace {
+
+/** A RowSel run of `links` links of `cols` columns, every operand at
+ *  q - 1 (the maximal product), with the pointer arrays it needs. */
+struct MaximalRun
+{
+    MaximalRun(u64 q, u64 links, u64 cols)
+        : plane(kN, q - 1), db(links * cols, plane.data()),
+          leaves(links, plane.data()),
+          run{db.data(), leaves.data(), leaves.data(), links, cols}
+    {
+    }
+
+    std::vector<u64> plane;
+    std::vector<const u64 *> db;
+    std::vector<const u64 *> leaves;
+    simd::RowSelRun run;
+};
+
+} // namespace
+
+TEST(Contracts, RowSelMacRejectsChainPastLazyLimit)
 {
     IVE_REQUIRE_CHECKED_BUILD();
-    // A split RowSel chain merges per-segment u128 partials before its
-    // single deferred reduction; each partial must still satisfy
-    // acc >> 64 < 2^32 or the merged total can wrap past 128 bits.
-    std::vector<u128> dst(kN, 5);
-    std::vector<u128> src(kN, 0);
-    src[3] = static_cast<u128>(simd::kFusedMacModulusBound) << 64;
-    EXPECT_THROW(kernels::mergeMacPartial(dst.data(), src.data(), kN),
+    // One link past floor((2^64-1)/(q-1)^2) could wrap a u64 lane. A
+    // 31-bit prime keeps the limit (and the test) short.
+    u64 q = findNttPrimes(31, kN, 1).at(0);
+    Modulus mod(q);
+    u64 limit = kernels::lazyChainLimit(q);
+    ASSERT_GE(limit, 1u);
+    for (u64 cols : {u64{1}, u64{2}}) {
+        MaximalRun m(q, limit + 1, cols);
+        std::vector<u64> acc(2 * cols * kN);
+        EXPECT_THROW(scalarK().rowSelMac(acc.data(), m.run, kN, mod),
+                     ContractViolation)
+            << cols << " columns";
+    }
+    // Raw partials about to be merged past the limit trap too.
+    std::vector<u64> dst(kN, 0), src(kN, 0);
+    EXPECT_THROW(kernels::mergeLazyPartial(dst.data(), src.data(), kN,
+                                           limit + 1, mod),
                  ContractViolation);
-    EXPECT_THROW(kernels::auditMacPartial(src.data(), kN),
-                 ContractViolation);
+    // Above the fused bound (q-1)^2 no longer fits: no lazy link at all.
+    u64 q33 = findNttPrimes(33, kN, 1).at(0);
+    MaximalRun one(q33, 1, 1);
+    std::vector<u64> acc(2 * kN);
+    EXPECT_THROW(
+        scalarK().rowSelMac(acc.data(), one.run, kN, Modulus(q33)),
+        ContractViolation);
 }
 
-TEST(Contracts, MergeMacPartialCleanJustBelowBoundAndExact)
+TEST(Contracts, RowSelMacCleanAtLazyLimitAndExact)
 {
     IVE_REQUIRE_CHECKED_BUILD();
-    // Honest partials just below the headroom bound pass, and the
-    // merge is the exact wrapping u128 sum.
-    std::vector<u128> dst(kN);
-    std::vector<u128> src(kN);
-    for (u64 i = 0; i < kN; ++i) {
-        dst[i] = (static_cast<u128>(i) << 64) | 7;
-        src[i] = (static_cast<u128>(simd::kFusedMacModulusBound - 1)
-                  << 64) |
-                 i;
+    // A chain exactly at the limit with every product maximal is
+    // admitted, sums without wrapping, and reduces to the modular sum.
+    for (int bits : {27, 31, 32}) {
+        u64 q = bits == 27 ? smallPrime() : findNttPrimes(bits, kN, 1).at(0);
+        Modulus mod(q);
+        u64 limit = kernels::lazyChainLimit(q);
+        ASSERT_GE(limit, 1u) << "q = " << q;
+        u64 raw = limit * ((q - 1) * (q - 1));
+        ASSERT_EQ(raw / limit, (q - 1) * (q - 1)) << "no wrap at q = " << q;
+        u64 want = mod.mul(mod.mul(q - 1, q - 1), limit % q);
+        for (u64 cols : {u64{1}, u64{2}}) {
+            MaximalRun m(q, limit, cols);
+            std::vector<u64> acc(2 * cols * kN);
+            EXPECT_NO_THROW(
+                scalarK().rowSelMac(acc.data(), m.run, kN, mod));
+            for (u64 v : acc)
+                ASSERT_EQ(v, raw) << "q = " << q;
+            std::vector<u64> dst(kN, 0);
+            EXPECT_NO_THROW(
+                scalarK().lazyReduceAdd(dst.data(), acc.data(), kN, mod));
+            EXPECT_EQ(dst[0], want) << "q = " << q;
+        }
+        std::vector<u64> dst(kN, 0), src(kN, 0);
+        EXPECT_NO_THROW(kernels::mergeLazyPartial(dst.data(), src.data(),
+                                                  kN, limit, mod));
     }
-    std::vector<u128> expect(kN);
-    for (u64 i = 0; i < kN; ++i)
-        expect[i] = dst[i] + src[i];
-    EXPECT_NO_THROW(
-        kernels::mergeMacPartial(dst.data(), src.data(), kN));
-    for (u64 i = 0; i < kN; ++i)
-        EXPECT_TRUE(dst[i] == expect[i]) << "word " << i;
 }
 
 TEST(Contracts, CoeffMapRejectsOutOfRangePosition)

@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "modmath/primes.hh"
 #include "pir/batch.hh"
 #include "pir/server.hh"
+#include "poly/kernels.hh"
 
 using namespace ive;
 
@@ -48,6 +50,56 @@ bool
 ctEqual(const BfvCiphertext &x, const BfvCiphertext &y)
 {
     return x.a == y.a && x.b == y.b;
+}
+
+/**
+ * RowSel of `server` over `db` checked byte for byte against an
+ * independent plainMulAcc chain (strict per-product reduction) per
+ * column, at 1, 3 and 8 threads. The thread counts move RowSel between
+ * its two-column, one-column and segmented passes.
+ */
+void
+expectRowSelMatchesPlainMulAcc(const HeContext &ctx,
+                               const PirParams &params,
+                               PirClient &client,
+                               const Database &db, const PirServer &server,
+                               u64 target)
+{
+    ThreadPool::setGlobalThreads(1);
+    std::vector<BfvCiphertext> leaves =
+        server.expandQuery(client.makeQuery(target));
+    const u64 cols = server.localColumns();
+    std::vector<BfvCiphertext> want(cols);
+    for (u64 r = 0; r < cols; ++r) {
+        want[r].a = RnsPoly(ctx.ring(), Domain::Ntt);
+        want[r].b = RnsPoly(ctx.ring(), Domain::Ntt);
+        for (u64 i = 0; i < params.d0; ++i)
+            plainMulAcc(ctx, want[r],
+                        db.entry(db.firstEntry() + r * params.d0 + i),
+                        leaves[i]);
+    }
+    for (int threads : {1, 3, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        std::vector<BfvCiphertext> got = server.rowSel(leaves);
+        ASSERT_EQ(got.size(), cols);
+        for (u64 r = 0; r < cols; ++r)
+            EXPECT_TRUE(ctEqual(got[r], want[r]))
+                << threads << " threads, column " << r;
+    }
+    ThreadPool::setGlobalThreads(1);
+}
+
+/** smallParams on an explicit prime basis (gadgets sized for ~120 bits). */
+PirParams
+primeParams(const std::vector<u64> &primes, u64 d0, int d)
+{
+    PirParams p = smallParams(d0, d);
+    p.he.primes = primes;
+    p.he.logZKs = 14;
+    p.he.ellKs = 9;
+    p.he.logZRgsw = 16;
+    p.he.ellRgsw = 8;
+    return p;
 }
 
 } // namespace
@@ -222,4 +274,68 @@ TEST(ParallelServer, CountersStayExactUnderParallelism)
     EXPECT_EQ(f.server.counters().externalProducts, ext);
     EXPECT_EQ(f.server.counters().plainMulAccs, macs);
     ThreadPool::setGlobalThreads(1);
+}
+
+TEST(ParallelServer, RowSelMatchesPlainMulAccOnFullDatabase)
+{
+    // 8 columns: a two-column pass at 1 and 3 threads, one column per
+    // task at 8.
+    PirParams params = smallParams(16, 3);
+    PirFixture f(params, 41);
+    expectRowSelMatchesPlainMulAcc(f.ctx, params, f.client, f.db, f.server,
+                                   29);
+}
+
+TEST(ParallelServer, RowSelMatchesPlainMulAccOnOneColumnSlice)
+{
+    // An odd column count: a shard holding one column (record-axis
+    // slices are power-of-two column counts, so 1 is the only odd one).
+    // Whole-column at 1 thread, segmented above.
+    PirParams params = smallParams(16, 3);
+    HeContext ctx(params.he);
+    PirClient client(ctx, params, 5);
+    Database full = Database::random(ctx, params, 6);
+    Database db = full.slice(5, 8);
+    PirServer server(ctx, params, &db, client.genPublicKeys());
+    ASSERT_EQ(server.localColumns(), 1u);
+    expectRowSelMatchesPlainMulAcc(ctx, params, client, db, server, 83);
+}
+
+TEST(ParallelServer, RowSelMatchesPlainMulAccPastLazyLimit)
+{
+    // 30-bit primes admit ~16-link lazy chains, so D0 = 128 forces
+    // mid-chain reductions: chunked pairs at 1 thread, chunked single
+    // columns at 3, canonical (not raw) segment partials at 8. At
+    // D0 = 128 an unreduced chain of random residues would wrap 2^64
+    // in nearly every lane, so a missing reduction cannot pass.
+    std::vector<u64> primes = findNttPrimes(30, 256, 4);
+    for (u64 q : primes)
+        ASSERT_LE(kernels::lazyChainLimit(q), 32u);
+    PirParams params = primeParams(primes, 128, 2);
+    PirFixture f(params, 61);
+    expectRowSelMatchesPlainMulAcc(f.ctx, params, f.client, f.db, f.server,
+                                   111);
+}
+
+TEST(ParallelServer, RowSelMatchesPlainMulAccWithStrictPrime)
+{
+    // A prime above 2^32 takes the strict per-product path beside the
+    // lazy chains of the IVE primes.
+    u64 big = findNttPrimes(33, 256, 1).at(0);
+    ASSERT_GT(big, u64{1} << 32);
+    PirParams params = primeParams(
+        {kIvePrimes[0], kIvePrimes[1], kIvePrimes[2], big}, 16, 2);
+    PirFixture f(params, 71);
+    expectRowSelMatchesPlainMulAcc(f.ctx, params, f.client, f.db, f.server,
+                                   37);
+}
+
+TEST(ParallelServer, RowSelMatchesPlainMulAccOnSegmentedPath)
+{
+    // cols = 2 < lanes at 3 and 8 threads: raw u64 segment partials
+    // merged and reduced once.
+    PirParams params = smallParams(32, 1);
+    PirFixture f(params, 81);
+    expectRowSelMatchesPlainMulAcc(f.ctx, params, f.client, f.db, f.server,
+                                   50);
 }

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "common/rng.hh"
 #include "modmath/primes.hh"
@@ -285,6 +286,92 @@ TEST(Simd, MacReduceMatchesScalarAcrossPrimeClasses)
                 // general 128-bit Barrett.
                 for (u64 i = 0; i < n; ++i)
                     ASSERT_EQ(want[i], mod.reduce(acc[i]));
+            }
+        }
+    }
+}
+
+TEST(Simd, RowSelMacMatchesScalarAcrossPrimesTailsAndLimit)
+{
+    // The u64 lazy RowSel MAC against the scalar reference (itself
+    // pinned against a u128 sum): 27-bit IVE through the 32-bit edge,
+    // unaligned tails, chains from empty up to exactly
+    // lazyChainLimit(q) with every product maximal, and both the one-
+    // and two-column pass.
+    Rng rng(29);
+    std::vector<u64> primes = {kIvePrimes[0]};
+    for (int bits : {30, 31, 32})
+        primes.push_back(findNttPrimes(bits, 1024, 1).at(0));
+    for (u64 q : primes) {
+        const Modulus mod(q);
+        const u64 limit = kernels::lazyChainLimit(q);
+        ASSERT_GE(limit, 1u) << "q = " << q;
+        for (u64 n : {u64{3}, u64{8}, u64{13}, u64{64}, u64{1000}}) {
+            std::vector<std::vector<u64>> planes = cornerInputs(n, q, rng);
+            planes.push_back(randomCanonical(n, q, rng));
+            const std::vector<u64> &top = planes[1]; // all q - 1
+            for (u64 links : {u64{0}, u64{1}, u64{2}, u64{5}, limit}) {
+                if (links > limit)
+                    continue;
+                for (u64 cols : {u64{1}, u64{2}}) {
+                    for (bool maximal : {false, true}) {
+                        const u64 np = planes.size();
+                        auto pick = [&](u64 k) {
+                            return maximal ? top.data()
+                                           : planes[k % np].data();
+                        };
+                        std::vector<const u64 *> db(links * cols), la(links),
+                            lb(links);
+                        for (u64 i = 0; i < links; ++i) {
+                            for (u64 c = 0; c < cols; ++c)
+                                db[i * cols + c] = pick(i * cols + c + 1);
+                            la[i] = pick(i);
+                            lb[i] = pick(i + 2);
+                        }
+                        const simd::RowSelRun run{db.data(), la.data(),
+                                                  lb.data(), links, cols};
+                        const std::string where =
+                            "q=" + std::to_string(q) +
+                            " n=" + std::to_string(n) +
+                            " links=" + std::to_string(links) +
+                            " cols=" + std::to_string(cols) +
+                            (maximal ? " maximal" : "");
+
+                        std::vector<u64> want(2 * cols * n, ~u64{0});
+                        scalarK().rowSelMac(want.data(), run, n, mod);
+                        for (u64 c = 0; c < cols; ++c) {
+                            for (u64 j = 0; j < n; ++j) {
+                                u128 sa = 0, sb = 0;
+                                for (u64 i = 0; i < links; ++i) {
+                                    u64 d = db[i * cols + c][j];
+                                    sa += static_cast<u128>(d) * la[i][j];
+                                    sb += static_cast<u128>(d) * lb[i][j];
+                                }
+                                ASSERT_TRUE(sa == want[2 * c * n + j] &&
+                                            sb == want[(2 * c + 1) * n + j])
+                                    << where << " j=" << j;
+                            }
+                        }
+                        std::vector<u64> base = randomCanonical(n, q, rng);
+                        std::vector<u64> reduced = base;
+                        scalarK().lazyReduceAdd(reduced.data(), want.data(),
+                                                n, mod);
+                        for (u64 j = 0; j < n; ++j)
+                            ASSERT_EQ(reduced[j],
+                                      mod.add(base[j], mod.reduce(want[j])))
+                                << where << " j=" << j;
+
+                        for (const simd::Kernels *k : allBackends()) {
+                            std::vector<u64> got(2 * cols * n, ~u64{0});
+                            k->rowSelMac(got.data(), run, n, mod);
+                            ASSERT_EQ(got, want) << k->name << " " << where;
+                            std::vector<u64> r = base;
+                            k->lazyReduceAdd(r.data(), got.data(), n, mod);
+                            ASSERT_EQ(r, reduced)
+                                << k->name << " reduce " << where;
+                        }
+                    }
+                }
             }
         }
     }
