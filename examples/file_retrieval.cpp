@@ -71,7 +71,7 @@ main()
                 response_blob.size());
     std::printf("server did %llu Subs for %d planes (expansion "
                 "shared)\n\n",
-                (unsigned long long)server.counters().subsOps,
+                (unsigned long long)server.counters().subsOps.value(),
                 params.planes);
 
     // ---- Part 2: the same file through a 4-shard deployment ----

@@ -53,11 +53,12 @@ main()
     // 4. Server processes the query obliviously.
     PirServer server(ctx, params, &db, keys);
     BfvCiphertext response = server.processAllPlanes(query)[0];
+    const ServerCountersSnapshot ops = server.counters().snapshot();
     std::printf("server ops: %llu Subs, %llu external products, "
                 "%llu plaintext MACs\n",
-                (unsigned long long)server.counters().subsOps,
-                (unsigned long long)server.counters().externalProducts,
-                (unsigned long long)server.counters().plainMulAccs);
+                (unsigned long long)ops.subsOps,
+                (unsigned long long)ops.externalProducts,
+                (unsigned long long)ops.plainMulAccs);
 
     // 5. Client decodes.
     std::vector<u64> record = client.decode(response);

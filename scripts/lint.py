@@ -46,6 +46,14 @@ Rules (each line reports as ``path:line: [rule] message``):
                       src/obs) never include the accelerator
                       simulator's headers (sim/, system/, model/), so
                       serving never links the simulator.
+  raw-tally           A std::atomic<u64> / std::atomic<i64> in the
+                      serving libraries (src/pir, src/shard, src/net)
+                      is a tally kept beside the registry: tallies there
+                      must be obs::Counter / obs::Gauge members linked
+                      to their process series, so one add() feeds both
+                      the instance's stats and the registry. Atomic
+                      flags (atomic<bool>) and the layers below
+                      (src/obs, src/common) are not flagged.
 
 Escape hatch: a finding is suppressed when the flagged line, or the
 line directly above it, carries
@@ -108,6 +116,9 @@ RAW_SOCKET_RE = re.compile(
 )
 SERVING_DIRS = ("src/pir/", "src/shard/", "src/net/", "src/common/",
                 "src/obs/")
+TALLY_DIRS = ("src/pir/", "src/shard/", "src/net/")
+RAW_TALLY_RE = re.compile(
+    r"(?<![A-Za-z0-9_])atomic\s*<\s*(?:u64|i64)\s*>")
 INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
 LAYERING_RE = re.compile(r"#\s*include\s*[<\"](?:sim|system|model)/")
 GUARD_IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(IVE_\w+_HH)\s*$", re.M)
@@ -125,6 +136,7 @@ ALL_RULES = (
     "catch-all",
     "raw-socket",
     "layering",
+    "raw-tally",
 )
 
 
@@ -267,6 +279,12 @@ def lint_file(f: Findings, root: Path, path: Path) -> None:
                 "serving code includes an accelerator-simulator header "
                 "(sim/, system/, model/); serving must not link the "
                 "simulator")
+        if rel.startswith(TALLY_DIRS):
+            check_line_rule(
+                f, rel, raw_lines, code_lines, idx, "raw-tally",
+                RAW_TALLY_RE,
+                "raw atomic tally in a serving library; use an "
+                "obs::Counter / obs::Gauge linked to its process series")
         if rel in HOT_PATH_FILES:
             check_line_rule(
                 f, rel, raw_lines, code_lines, idx, "hot-path-alloc",
@@ -421,6 +439,18 @@ def self_test() -> int:
         ("src/shard/x.cc",
          "// lint: allow(layering) -- transitional shim\n"
          '#include "system/cluster.hh"\n', None),
+        # Serving tallies are linked obs counters, not raw atomics.
+        ("src/net/x.hh", "    std::atomic<u64> framesIn_{0};\n",
+         "raw-tally"),
+        ("src/shard/x.cc", "std::atomic< i64 > depth{0};\n",
+         "raw-tally"),
+        ("src/pir/x.hh", "mutable atomic<u64> n_;\n", "raw-tally"),
+        ("src/net/x.cc", "std::atomic<bool> stopping_{false};\n", None),
+        ("src/net/x.cc", "obs::Counter framesIn_;\n", None),
+        ("src/net/x.cc", "// a std::atomic<u64> in prose\n", None),
+        ("src/obs/metrics.cc", "std::atomic<u64> v_{0};\n", None),
+        ("src/common/x.cc", "std::atomic<u64> hits_{0};\n", None),
+        ("tests/t.cc", "std::atomic<u64> served{0};\n", None),
     ]
 
     failures = 0

@@ -18,10 +18,9 @@
  * pattern). Code that wants the analysis must use these instead of the
  * raw std types.
  *
- * Atomics are deliberately not annotated: ServerCounters,
- * ShardCoordinator's traffic tallies, ServerSession::queriesAnswered_
- * and the PolyWorkspace stats are std::atomic with relaxed ordering and
- * need no capability. State that is written once before concurrent
+ * Atomics are deliberately not annotated: the serving tallies
+ * (obs::Counter / obs::Gauge members such as ServerCounters) and the
+ * PolyWorkspace stats are relaxed atomics and need no capability. State that is written once before concurrent
  * readers start (ServerSession::server_ via ingestKeys) is documented
  * at the member instead; annotating it would force a lock on the
  * read-only hot path.

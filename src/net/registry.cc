@@ -1,45 +1,25 @@
 #include "net/registry.hh"
 
 #include "common/logging.hh"
-#include "obs/metrics.hh"
 #include "pir/session.hh"
 #include "pir/wire.hh"
 
 namespace ive::net {
 
-namespace {
-
-/** Registry occupancy, aggregated across registries for render(). */
-struct RegistryMetrics
-{
-    obs::Gauge &active;
-    obs::Gauge &bytes;
-    obs::Counter &registered;
-    obs::Counter &evicted;
-};
-
-RegistryMetrics &
-registryMetrics()
-{
-    namespace n = obs::names;
-    obs::Registry &r = obs::Registry::global();
-    static RegistryMetrics m{
-        r.gauge(n::kSessionsActive, "sessions currently registered"),
-        r.gauge(n::kSessionsBytes, "budgeted session bytes held"),
-        r.counter(n::kSessionsRegistered,
-                  "successful key registrations"),
-        r.counter(n::kSessionsEvicted, "sessions evicted by LRU"),
-    };
-    return m;
-}
-
-} // namespace
-
 SessionRegistry::SessionRegistry(const HeContext &ctx,
                                  const PirParams &params,
                                  const Database *db, RegistryConfig cfg)
     : ctx_(ctx), params_(params), db_(db), cfg_(cfg),
-      canonicalParams_(serializeParams(params))
+      canonicalParams_(serializeParams(params)),
+      registered_(obs::Registry::global().counter(
+          obs::names::kSessionsRegistered,
+          "successful key registrations")),
+      evicted_(obs::Registry::global().counter(
+          obs::names::kSessionsEvicted, "sessions evicted by LRU")),
+      activeGauge_(obs::Registry::global().gauge(
+          obs::names::kSessionsActive, "sessions currently registered")),
+      bytesGauge_(obs::Registry::global().gauge(
+          obs::names::kSessionsBytes, "budgeted session bytes held"))
 {
     ive_assert(db != nullptr);
     ive_assert(cfg_.memoryBudgetBytes > 0);
@@ -74,7 +54,6 @@ SessionRegistry::registerClient(u64 client_id,
     auto engine = std::make_shared<const PirServer>(ctx_, params_, db_,
                                                     std::move(keys));
 
-    RegistryMetrics &rm = registryMetrics();
     u64 generation = 0;
     {
         LockGuard lk(mu_);
@@ -87,7 +66,7 @@ SessionRegistry::registerClient(u64 client_id,
             bytes_ -= it->second.bytes;
             lru_.erase(it->second.lruPos);
             sessions_.erase(it);
-            ++stats_.replaced;
+            ++replaced_;
         }
         generation = nextGeneration_++;
         lru_.push_front(client_id);
@@ -98,21 +77,17 @@ SessionRegistry::registerClient(u64 client_id,
         e.lruPos = lru_.begin();
         sessions_.emplace(client_id, std::move(e));
         bytes_ += bytes;
-        ++stats_.registered;
+        registered_.add(1);
         evictUntilWithinBudget();
-        stats_.active = sessions_.size();
-        stats_.bytes = bytes_;
-        rm.active.set(static_cast<i64>(sessions_.size()));
-        rm.bytes.set(static_cast<i64>(bytes_));
+        activeGauge_.set(static_cast<i64>(sessions_.size()));
+        bytesGauge_.set(static_cast<i64>(bytes_));
     }
-    rm.registered.add(1);
     return generation;
 }
 
 void
 SessionRegistry::evictUntilWithinBudget()
 {
-    RegistryMetrics &rm = registryMetrics();
     while (!lru_.empty() && (bytes_ > cfg_.memoryBudgetBytes ||
                              sessions_.size() > cfg_.maxSessions)) {
         u64 victim = lru_.back();
@@ -123,8 +98,7 @@ SessionRegistry::evictUntilWithinBudget()
         // In-flight queries holding the engine's shared_ptr keep it
         // alive past this erase; it just stops being findable.
         sessions_.erase(it);
-        ++stats_.evicted;
-        rm.evicted.add(1);
+        evicted_.add(1);
     }
 }
 
@@ -162,7 +136,13 @@ RegistryStats
 SessionRegistry::stats() const
 {
     LockGuard lk(mu_);
-    return stats_;
+    RegistryStats s;
+    s.active = sessions_.size();
+    s.bytes = bytes_;
+    s.registered = registered_.value();
+    s.evicted = evicted_.value();
+    s.replaced = replaced_;
+    return s;
 }
 
 } // namespace ive::net

@@ -36,6 +36,7 @@
 #include <unordered_map>
 
 #include "common/annotations.hh"
+#include "obs/metrics.hh"
 #include "pir/server.hh"
 
 namespace ive::net {
@@ -69,7 +70,7 @@ struct RegistryConfig
     u64 maxSessions = 4096;
 };
 
-/** Point-in-time registry occupancy (mirrors the obs gauges). */
+/** Point-in-time registry occupancy and cumulative tallies. */
 struct RegistryStats
 {
     u64 active = 0;     ///< Sessions currently registered.
@@ -145,7 +146,14 @@ class SessionRegistry
     std::list<u64> lru_ IVE_GUARDED_BY(mu_); ///< Front = most recent.
     u64 bytes_ IVE_GUARDED_BY(mu_) = 0;
     u64 nextGeneration_ IVE_GUARDED_BY(mu_) = 1;
-    RegistryStats stats_ IVE_GUARDED_BY(mu_);
+    u64 replaced_ IVE_GUARDED_BY(mu_) = 0;
+    // Linked to their process series (obs/metrics.hh) and written
+    // under mu_: the gauges track sessions_.size() and bytes_, so the
+    // process gauges sum the live registries.
+    obs::Counter registered_;
+    obs::Counter evicted_;
+    obs::Gauge activeGauge_;
+    obs::Gauge bytesGauge_;
 };
 
 } // namespace ive::net

@@ -32,40 +32,6 @@ constexpr size_t kReadChunk = 64 * 1024;
 /** Default net.read.stall backoff when the failpoint carries no arg. */
 constexpr u64 kDefaultStallMs = 10;
 
-struct NetMetrics
-{
-    obs::Gauge &connections;
-    obs::Counter &accepted;
-    obs::Counter &rejected;
-    obs::Counter &framesIn;
-    obs::Counter &framesOut;
-    obs::Counter &bytesIn;
-    obs::Counter &bytesOut;
-    obs::Counter &errorFrames;
-    obs::Counter &deadlineCloses;
-};
-
-NetMetrics &
-netMetrics()
-{
-    namespace n = obs::names;
-    obs::Registry &r = obs::Registry::global();
-    static NetMetrics m{
-        r.gauge(n::kNetConnections, "open client connections"),
-        r.counter(n::kNetAccepted, "connections accepted"),
-        r.counter(n::kNetRejected,
-                  "connections shed by admission control"),
-        r.counter(n::kNetFramesIn, "frames received"),
-        r.counter(n::kNetFramesOut, "frames sent"),
-        r.counter(n::kNetBytesIn, "bytes received"),
-        r.counter(n::kNetBytesOut, "bytes sent"),
-        r.counter(n::kNetErrorFrames, "typed error frames sent"),
-        r.counter(n::kNetDeadlineCloses,
-                  "connections closed by a deadline"),
-    };
-    return m;
-}
-
 [[noreturn]] void
 throwErrno(const char *what)
 {
@@ -117,6 +83,26 @@ setNonBlocking(int fd)
 PirTcpServer::PirTcpServer(const HeContext &ctx, const PirParams &params,
                            const Database *db, NetServerConfig cfg)
     : ctx_(ctx), cfg_(std::move(cfg)),
+      connections_(obs::Registry::global().gauge(
+          obs::names::kNetConnections, "open client connections")),
+      accepted_(obs::Registry::global().counter(
+          obs::names::kNetAccepted, "connections accepted")),
+      rejected_(obs::Registry::global().counter(
+          obs::names::kNetRejected,
+          "connections shed by admission control")),
+      framesIn_(obs::Registry::global().counter(obs::names::kNetFramesIn,
+                                                "frames received")),
+      framesOut_(obs::Registry::global().counter(
+          obs::names::kNetFramesOut, "frames sent")),
+      bytesIn_(obs::Registry::global().counter(obs::names::kNetBytesIn,
+                                               "bytes received")),
+      bytesOut_(obs::Registry::global().counter(obs::names::kNetBytesOut,
+                                                "bytes sent")),
+      errorFrames_(obs::Registry::global().counter(
+          obs::names::kNetErrorFrames, "typed error frames sent")),
+      deadlineCloses_(obs::Registry::global().counter(
+          obs::names::kNetDeadlineCloses,
+          "connections closed by a deadline")),
       registry_(ctx, params, db, cfg_.registry),
       dispatcher_(cfg_.scheduler)
 {
@@ -245,16 +231,16 @@ NetServerStats
 PirTcpServer::stats() const
 {
     NetServerStats s;
-    s.accepted = accepted_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
-    s.activeConnections = active_.load(std::memory_order_relaxed);
-    s.framesIn = framesIn_.load(std::memory_order_relaxed);
-    s.framesOut = framesOut_.load(std::memory_order_relaxed);
-    s.bytesIn = bytesIn_.load(std::memory_order_relaxed);
-    s.bytesOut = bytesOut_.load(std::memory_order_relaxed);
-    s.errorFrames = errorFrames_.load(std::memory_order_relaxed);
-    s.deadlineCloses = deadlineCloses_.load(std::memory_order_relaxed);
-    s.resets = resets_.load(std::memory_order_relaxed);
+    s.accepted = accepted_.value();
+    s.rejected = rejected_.value();
+    s.activeConnections = static_cast<u64>(connections_.value());
+    s.framesIn = framesIn_.value();
+    s.framesOut = framesOut_.value();
+    s.bytesIn = bytesIn_.value();
+    s.bytesOut = bytesOut_.value();
+    s.errorFrames = errorFrames_.value();
+    s.deadlineCloses = deadlineCloses_.value();
+    s.resets = resets_.value();
     return s;
 }
 
@@ -348,8 +334,7 @@ PirTcpServer::runLoop()
     for (auto &kv : conns_)
         ::close(kv.second->fd);
     conns_.clear();
-    active_.store(0, std::memory_order_relaxed);
-    netMetrics().connections.set(0);
+    connections_.set(0);
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
@@ -360,7 +345,6 @@ PirTcpServer::runLoop()
 void
 PirTcpServer::doAccept()
 {
-    NetMetrics &nm = netMetrics();
     for (;;) {
         int fd = accept4(listenFd_, nullptr, nullptr,
                          SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -386,8 +370,7 @@ PirTcpServer::doAccept()
             // Count before the frame becomes visible: a client
             // that just read this Overloaded/ShuttingDown frame must
             // already see the rejection in stats().
-            rejected_.fetch_add(1, std::memory_order_relaxed);
-            nm.rejected.add(1);
+            rejected_.add(1);
             std::vector<u8> frame =
                 encodeFrame(serializeErrorResponse(err));
             (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
@@ -411,10 +394,8 @@ PirTcpServer::doAccept()
             continue;
         }
         conns_.emplace(id, std::move(conn));
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        active_.store(conns_.size(), std::memory_order_relaxed);
-        nm.accepted.add(1);
-        nm.connections.set(static_cast<i64>(conns_.size()));
+        accepted_.add(1);
+        connections_.set(static_cast<i64>(conns_.size()));
     }
 }
 
@@ -426,8 +407,7 @@ PirTcpServer::closeConn(u64 id)
         return;
     ::close(it->second->fd);
     conns_.erase(it);
-    active_.store(conns_.size(), std::memory_order_relaxed);
-    netMetrics().connections.set(static_cast<i64>(conns_.size()));
+    connections_.set(static_cast<i64>(conns_.size()));
 }
 
 bool
@@ -449,15 +429,12 @@ PirTcpServer::handleReadable(Connection &c)
         return true;
     }
 
-    NetMetrics &nm = netMetrics();
     u8 buf[kReadChunk];
     for (;;) {
         ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
         if (n > 0) {
             c.lastActivityNs = obs::nowNs();
-            bytesIn_.fetch_add(static_cast<u64>(n),
-                               std::memory_order_relaxed);
-            nm.bytesIn.add(static_cast<u64>(n));
+            bytesIn_.add(static_cast<u64>(n));
             try {
                 c.codec.feed(
                     std::span<const u8>(buf, static_cast<size_t>(n)));
@@ -498,7 +475,6 @@ PirTcpServer::processFrames(Connection &c, u64 now_ns)
 {
     static fail::Failpoint &connReset = fail::point("net.conn.reset");
 
-    NetMetrics &nm = netMetrics();
     while (!c.closeAfterFlush &&
            c.inFlight < cfg_.maxInFlightPerConnection &&
            c.writeqBytes < cfg_.writeHighWaterBytes) {
@@ -516,11 +492,10 @@ PirTcpServer::processFrames(Connection &c, u64 now_ns)
         }
         if (!payload.has_value())
             break;
-        framesIn_.fetch_add(1, std::memory_order_relaxed);
-        nm.framesIn.add(1);
+        framesIn_.add(1);
         if (connReset.evaluate()) {
             // Injected mid-stream connection loss.
-            resets_.fetch_add(1, std::memory_order_relaxed);
+            resets_.add(1);
             closeConn(c.id);
             return false;
         }
@@ -633,7 +608,7 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
         dispatcher_.submit(
             std::move(ref.queryBlob),
             [this, engine](const std::vector<u8> &blob) {
-                return answerQueryBlob(ctx_, *engine, blob);
+                return answerQueryBlob(ctx_, *engine, blob, answered_);
             },
             [this, conn_id, seq](std::vector<u8> resp,
                                  std::exception_ptr err) {
@@ -668,10 +643,8 @@ PirTcpServer::enqueueResponse(Connection &c, u64 seq,
 {
     static fail::Failpoint &corrupt = fail::point("net.frame.corrupt");
 
-    NetMetrics &nm = netMetrics();
     if (is_error) {
-        errorFrames_.fetch_add(1, std::memory_order_relaxed);
-        nm.errorFrames.add(1);
+        errorFrames_.add(1);
     } else if (fail::Hit h = corrupt.evaluate()) {
         // Outgoing corruption drill: flip one byte of the response
         // payload (arg = offset from the end) so client-side
@@ -690,8 +663,7 @@ PirTcpServer::enqueueResponse(Connection &c, u64 seq,
         c.writeq.push_back(std::move(frame));
         c.ready.erase(it);
         ++c.nextSendSeq;
-        framesOut_.fetch_add(1, std::memory_order_relaxed);
-        nm.framesOut.add(1);
+        framesOut_.add(1);
         if (c.lastWriteProgressNs == 0)
             c.lastWriteProgressNs = obs::nowNs();
     }
@@ -712,7 +684,6 @@ PirTcpServer::handleWritable(Connection &c)
 {
     static fail::Failpoint &writeShort = fail::point("net.write.short");
 
-    NetMetrics &nm = netMetrics();
     while (!c.writeq.empty()) {
         const std::vector<u8> &front = c.writeq.front();
         size_t want = front.size() - c.writeOff;
@@ -731,9 +702,7 @@ PirTcpServer::handleWritable(Connection &c)
             c.writeqBytes -= static_cast<u64>(n);
             c.lastWriteProgressNs = obs::nowNs();
             c.lastActivityNs = c.lastWriteProgressNs;
-            bytesOut_.fetch_add(static_cast<u64>(n),
-                                std::memory_order_relaxed);
-            nm.bytesOut.add(static_cast<u64>(n));
+            bytesOut_.add(static_cast<u64>(n));
             if (c.writeOff == front.size()) {
                 c.writeq.pop_front();
                 c.writeOff = 0;
@@ -806,7 +775,6 @@ PirTcpServer::applyCompletions(u64 now_ns)
 void
 PirTcpServer::enforceDeadlines(u64 now_ns)
 {
-    NetMetrics &nm = netMetrics();
     u64 frame_ns =
         static_cast<u64>(cfg_.frameReadDeadlineSec * 1e9);
     u64 stall_ns =
@@ -838,8 +806,7 @@ PirTcpServer::enforceDeadlines(u64 now_ns)
             now_ns > c.lastActivityNs + idle_ns)
             expired = true;
         if (expired) {
-            deadlineCloses_.fetch_add(1, std::memory_order_relaxed);
-            nm.deadlineCloses.add(1);
+            deadlineCloses_.add(1);
             closeConn(id);
         }
     }

@@ -58,6 +58,7 @@
 
 #include "net/frame.hh"
 #include "net/registry.hh"
+#include "pir/session.hh"
 #include "pir/wire.hh"
 #include "shard/dispatcher.hh"
 
@@ -91,7 +92,8 @@ struct NetServerConfig
     SchedulerConfig scheduler;
 };
 
-/** Cumulative traffic/robustness tallies (atomics, loop-owned). */
+/** Cumulative traffic/robustness tallies (a copy of the server's
+ *  counters; activeConnections is the current level). */
 struct NetServerStats
 {
     u64 accepted = 0;
@@ -204,6 +206,18 @@ class PirTcpServer
 
     const HeContext &ctx_;
     NetServerConfig cfg_;
+
+    // Tallies, written by the loop thread: each but resets_ is linked
+    // to its process series (obs/metrics.hh), and connections_ tracks
+    // conns_.size(), so ive_net_connections sums the live servers.
+    obs::Gauge connections_;
+    obs::Counter accepted_, rejected_;
+    obs::Counter framesIn_, framesOut_, bytesIn_, bytesOut_;
+    obs::Counter errorFrames_, deadlineCloses_;
+    obs::Counter resets_; ///< net.conn.reset closes; no process series.
+    /** Socket answers, added by the dispatch-thread answer thunks. */
+    SessionCounters answered_;
+
     SessionRegistry registry_;
     ShardDispatcher dispatcher_; ///< Runs the per-query thunks.
 
@@ -228,12 +242,6 @@ class PirTcpServer
     std::atomic<bool> stopping_{false};
     std::atomic<bool> draining_{false};
     std::atomic<bool> forceDrain_{false};
-
-    // Stats mirrors (relaxed atomics; stats() snapshots them).
-    std::atomic<u64> accepted_{0}, rejected_{0}, active_{0};
-    std::atomic<u64> framesIn_{0}, framesOut_{0};
-    std::atomic<u64> bytesIn_{0}, bytesOut_{0};
-    std::atomic<u64> errorFrames_{0}, deadlineCloses_{0}, resets_{0};
 
     std::once_flag stopOnce_;
     std::thread loop_;

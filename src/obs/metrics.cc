@@ -90,6 +90,9 @@ Registry::find(const std::string &name, Kind kind,
     } else if (it->second.kind != kind) {
         throw std::logic_error("obs::Registry: metric '" + name +
                                "' re-registered with a different kind");
+    } else if (it->second.help.empty()) {
+        // A reader may look a series up before its owner registers it.
+        it->second.help = help;
     }
     return it->second;
 }

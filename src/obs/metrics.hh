@@ -8,7 +8,8 @@
  * thread pool itself can be instrumented):
  *
  *   - Recording is wait-free: one relaxed fetch_add for counters and
- *     gauges, three for a histogram sample. No locks, no allocation,
+ *     gauges (two for an instance tally linked to its process total),
+ *     three for a histogram sample. No locks, no allocation,
  *     no syscalls on the record path, so instrumented hot loops stay
  *     hot and responses stay byte-identical at every thread count
  *     (telemetry never feeds back into computation).
@@ -56,42 +57,86 @@ namespace obs {
  *  times work goes through here or through StageSpan (trace.hh). */
 u64 nowNs();
 
-/** Monotonically increasing event count. */
+/**
+ * Monotonically increasing event count. A counter constructed over a
+ * process total (Counter(Counter &total)) is an instance tally: every
+ * add() also adds to the total, so a serving object keeps its own
+ * exact count and the process-wide registry series with one write.
+ * The total must outlive the instance; registry series never die
+ * (Registry::global() is leaked).
+ */
 class Counter
 {
   public:
+    Counter() = default;
+    explicit Counter(Counter &total) : total_(&total) {}
+    Counter(const Counter &) = delete;
+    Counter &operator=(const Counter &) = delete;
+
     void
     add(u64 n = 1)
     {
         v_.fetch_add(n, std::memory_order_relaxed);
+        if (total_)
+            total_->add(n);
     }
 
     u64 value() const { return v_.load(std::memory_order_relaxed); }
 
-    /** Test/bench hook; not linearizable against concurrent add(). */
+    /** Test/bench hook; not linearizable against concurrent add().
+     *  Zeroes this counter only, never its total. */
     void reset() { v_.store(0, std::memory_order_relaxed); }
 
   private:
     std::atomic<u64> v_{0};
+    Counter *const total_ = nullptr;
 };
 
-/** Instantaneous level (queue depths, pool occupancy). */
+/**
+ * Instantaneous level (queue depths, pool occupancy). A gauge
+ * constructed over a process total (Gauge(Gauge &total)) moves the
+ * total by every change it makes (set(v) by v - old) and withdraws
+ * its current value when destroyed, so the total is the sum over the
+ * live instances.
+ */
 class Gauge
 {
   public:
-    void set(i64 v) { v_.store(v, std::memory_order_relaxed); }
+    Gauge() = default;
+    explicit Gauge(Gauge &total) : total_(&total) {}
+    Gauge(const Gauge &) = delete;
+    Gauge &operator=(const Gauge &) = delete;
+
+    ~Gauge()
+    {
+        if (total_)
+            total_->add(-value());
+    }
+
+    void
+    set(i64 v)
+    {
+        const i64 old = v_.exchange(v, std::memory_order_relaxed);
+        if (total_)
+            total_->add(v - old);
+    }
 
     void
     add(i64 d)
     {
         v_.fetch_add(d, std::memory_order_relaxed);
+        if (total_)
+            total_->add(d);
     }
 
     i64 value() const { return v_.load(std::memory_order_relaxed); }
+
+    /** Test/bench hook: zeroes this gauge only, never its total. */
     void reset() { v_.store(0, std::memory_order_relaxed); }
 
   private:
     std::atomic<i64> v_{0};
+    Gauge *const total_ = nullptr;
 };
 
 /** Copyable point-in-time view of a Histogram. */
@@ -249,7 +294,14 @@ class Registry
     std::map<std::string, Entry> entries_ IVE_GUARDED_BY(mu_);
 };
 
-/** Canonical metric names (single source for sites, benches, tests). */
+/**
+ * Canonical metric names (single source for sites, benches, tests).
+ * The serving layers' counter and gauge series (server ops, session,
+ * shard, dispatch, session registry, net) are process totals of
+ * per-instance tallies linked to them (Counter / Gauge over a total):
+ * the owning object's stats view and the series are filled by the
+ * same add(). Pool and failpoint series have no instance owner.
+ */
 namespace names {
 
 // Per-query pipeline stages (pir/server.cc, pir/session.cc). The
@@ -269,8 +321,8 @@ inline constexpr const char *kStageSerialize =
 inline constexpr const char *kStageAnswer =
     "ive_stage_latency_ns{stage=\"answer\"}";
 
-// Pipeline op totals (dual-written with the per-server
-// ServerCounters, which remain the per-instance view).
+// Pipeline op totals: the process totals of every PirServer's
+// ServerCounters, whose linked counters feed them (pir/server.hh).
 inline constexpr const char *kOpsSubs =
     "ive_server_ops_total{op=\"subs\"}";
 inline constexpr const char *kOpsExternalProduct =

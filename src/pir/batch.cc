@@ -5,16 +5,6 @@
 
 namespace ive {
 
-namespace {
-
-double
-now()
-{
-    return static_cast<double>(obs::nowNs()) / 1e9;
-}
-
-} // namespace
-
 std::vector<std::vector<BfvCiphertext>>
 processBatch(const PirServer &server, const std::vector<PirQuery> &queries)
 {
@@ -31,24 +21,29 @@ processBatch(const PirServer &server, const std::vector<PirQuery> &queries)
 CpuPhaseTimes
 measureCpuQuery(const PirServer &server, const PirQuery &query)
 {
-    CpuPhaseTimes t;
+    // Each stage call records its own duration into its stage
+    // histogram (StageSpan); the phase times are the sum deltas.
+    obs::Registry &r = obs::Registry::global();
+    obs::Histogram *const stages[] = {
+        &r.histogram(obs::names::kStageExpand),
+        &r.histogram(obs::names::kStageSelectors),
+        &r.histogram(obs::names::kStageRowsel),
+        &r.histogram(obs::names::kStageFold),
+    };
+    u64 before[4];
+    for (int i = 0; i < 4; ++i)
+        before[i] = stages[i]->snapshot().sum;
 
-    double t0 = now();
     std::vector<BfvCiphertext> leaves = server.expandQuery(query);
-    double t1 = now();
     std::vector<RgswCiphertext> selectors = server.buildSelectors(leaves);
-    double t2 = now();
     std::vector<BfvCiphertext> entries = server.rowSel(leaves);
-    double t3 = now();
-    BfvCiphertext resp = server.colTor(std::move(entries), selectors);
-    double t4 = now();
-    (void)resp;
+    (void)server.colTor(std::move(entries), selectors);
 
-    t.expandSec = t1 - t0;
-    t.selectorSec = t2 - t1;
-    t.rowselSec = t3 - t2;
-    t.coltorSec = t4 - t3;
-    return t;
+    auto sec = [&](int i) {
+        return static_cast<double>(stages[i]->snapshot().sum - before[i]) /
+               1e9;
+    };
+    return {sec(0), sec(1), sec(2), sec(3)};
 }
 
 CpuPhaseTimes

@@ -41,7 +41,12 @@ std::vector<std::vector<BfvCiphertext>>
 processBatch(const PirServer &server,
              const std::vector<PirQuery> &queries);
 
-/** Times each phase of a single query on the host CPU. */
+/**
+ * Times each phase of a single query on the host CPU, as the growth
+ * of the four stage-latency histograms (expand, selectors, rowsel,
+ * fold) over the call. Exact only while no other query runs in the
+ * process: a concurrent one would add its stages to the same sums.
+ */
 CpuPhaseTimes measureCpuQuery(const PirServer &server,
                               const PirQuery &query);
 

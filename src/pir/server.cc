@@ -12,21 +12,13 @@ namespace ive {
 
 namespace {
 
-/**
- * Serving-stage telemetry. Histograms time whole stage invocations;
- * the op counters mirror the per-instance ServerCounters into the
- * process-wide registry (ServerCounters stays the source of truth for
- * counters(), which tests pin exactly).
- */
+/** Serving-stage latency: each histogram times whole invocations. */
 struct StageMetrics
 {
     obs::Histogram &expand;
     obs::Histogram &selectors;
     obs::Histogram &rowsel;
     obs::Histogram &fold;
-    obs::Counter &subsOps;
-    obs::Counter &externalProducts;
-    obs::Counter &plainMulAccs;
 };
 
 StageMetrics &
@@ -35,18 +27,13 @@ stageMetrics()
     namespace n = obs::names;
     obs::Registry &r = obs::Registry::global();
     // Label variants of one family share the HELP header, so every
-    // stage / op registers the same family-level help string.
+    // stage registers the same family-level help string.
     static StageMetrics m{
         r.histogram(n::kStageExpand, "serving stage latency, by stage"),
         r.histogram(n::kStageSelectors,
                     "serving stage latency, by stage"),
         r.histogram(n::kStageRowsel, "serving stage latency, by stage"),
         r.histogram(n::kStageFold, "serving stage latency, by stage"),
-        r.counter(n::kOpsSubs, "pipeline operations executed, by op"),
-        r.counter(n::kOpsExternalProduct,
-                  "pipeline operations executed, by op"),
-        r.counter(n::kOpsPlainMulAcc,
-                  "pipeline operations executed, by op"),
     };
     return m;
 }
@@ -74,6 +61,18 @@ wideFor(u64 count, const std::function<void(u64)> &fn)
 }
 
 } // namespace
+
+ServerCounters::ServerCounters()
+    : subsOps(obs::Registry::global().counter(
+          obs::names::kOpsSubs, "pipeline operations executed, by op")),
+      externalProducts(obs::Registry::global().counter(
+          obs::names::kOpsExternalProduct,
+          "pipeline operations executed, by op")),
+      plainMulAccs(obs::Registry::global().counter(
+          obs::names::kOpsPlainMulAcc,
+          "pipeline operations executed, by op"))
+{
+}
 
 PirServer::PirServer(const HeContext &ctx, const PirParams &params,
                      const Database *db, PirPublicKeys keys)
@@ -233,9 +232,7 @@ PirServer::expandAndSelect(const PirQuery &query, int sel_from,
             if (last)
                 maybeSelect(node.idx, next[slot].ct);
         });
-        counters_.subsOps.fetch_add(nodes.size(),
-                                    std::memory_order_relaxed);
-        sm.subsOps.add(nodes.size());
+        counters_.subsOps.add(nodes.size());
         nodes = std::move(next);
     }
     if (depth == 0) {
@@ -243,10 +240,8 @@ PirServer::expandAndSelect(const PirQuery &query, int sel_from,
         for (auto &node : nodes)
             maybeSelect(node.idx, node.ct);
     }
-    counters_.externalProducts.fetch_add(
-        static_cast<u64>(sel_to - sel_from) * ell,
-        std::memory_order_relaxed);
-    sm.externalProducts.add(static_cast<u64>(sel_to - sel_from) * ell);
+    counters_.externalProducts.add(static_cast<u64>(sel_to - sel_from) *
+                                   ell);
 
     std::vector<BfvCiphertext> leaves(used);
     for (auto &node : nodes) {
@@ -275,8 +270,7 @@ PirServer::buildSelectors(const std::vector<BfvCiphertext> &leaves) const
         selectorRows(selectors[i / ell], static_cast<int>(i % ell),
                      leaves[params_.d0 + i]);
     });
-    counters_.externalProducts.fetch_add(rows, std::memory_order_relaxed);
-    sm.externalProducts.add(rows);
+    counters_.externalProducts.add(rows);
     return selectors;
 }
 
@@ -406,9 +400,7 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
                 macRows(p, c0, nc, 0, d0, lazy.data(), planes);
             }
         });
-        counters_.plainMulAccs.fetch_add(cols * d0,
-                                         std::memory_order_relaxed);
-        sm.plainMulAccs.add(cols * d0);
+        counters_.plainMulAccs.add(cols * d0);
         return out;
     }
 
@@ -477,9 +469,7 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
         }
         out[r] = std::move(acc);
     });
-    counters_.plainMulAccs.fetch_add(cols * d0,
-                                     std::memory_order_relaxed);
-    sm.plainMulAccs.add(cols * d0);
+    counters_.plainMulAccs.add(cols * d0);
     return out;
 }
 
@@ -526,9 +516,7 @@ PirServer::colTor(std::vector<BfvCiphertext> entries,
                             entries[2 * s * j + s],
                             sel[sel_offset + t]);
         });
-        counters_.externalProducts.fetch_add(num,
-                                             std::memory_order_relaxed);
-        sm.externalProducts.add(num);
+        counters_.externalProducts.add(num);
     }
     return entries[0];
 }
@@ -548,9 +536,7 @@ PirServer::colTorScheduled(std::vector<BfvCiphertext> entries,
         foldPairInPlace(entries[base], entries[base + s],
                         sel[op.depth]);
     }
-    counters_.externalProducts.fetch_add(schedule.size(),
-                                         std::memory_order_relaxed);
-    sm.externalProducts.add(schedule.size());
+    counters_.externalProducts.add(schedule.size());
     return entries[0];
 }
 

@@ -32,9 +32,8 @@
 #ifndef IVE_PIR_SERVER_HH
 #define IVE_PIR_SERVER_HH
 
-#include <atomic>
-
 #include "common/align.hh"
+#include "obs/metrics.hh"
 #include "pir/client.hh"
 #include "pir/database.hh"
 #include "pir/schedule.hh"
@@ -61,34 +60,27 @@ struct ServerCountersSnapshot
 
 /**
  * Mult/op tallies the server accumulates (validates model/complexity).
- * Atomic because independent queries / planes / RowSel columns run
- * concurrently on the thread pool; relaxed increments keep the exact
- * totals the complexity model checks against. Counters are cumulative
- * over the server's lifetime; reset() is explicit, never implicit per
- * call. Relaxed atomics carry no capability annotations by policy
- * (common/annotations.hh); snapshot() may tear across fields while
- * queries are in flight, which callers accept.
+ * Each is an instance counter linked to its process series
+ * (ive_server_ops_total{op=...}), so one add() updates both. Relaxed
+ * atomics because independent queries / planes / RowSel columns run
+ * concurrently on the thread pool; the totals stay exact. Counters are
+ * cumulative over the server's lifetime: callers measure a window as
+ * the difference of two snapshot()s, which may tear across fields
+ * while queries are in flight.
  */
 struct ServerCounters
 {
-    std::atomic<u64> subsOps{0};
-    std::atomic<u64> externalProducts{0};
-    std::atomic<u64> plainMulAccs{0};
+    ServerCounters();
+
+    obs::Counter subsOps;
+    obs::Counter externalProducts;
+    obs::Counter plainMulAccs;
 
     ServerCountersSnapshot
     snapshot() const
     {
-        return {subsOps.load(std::memory_order_relaxed),
-                externalProducts.load(std::memory_order_relaxed),
-                plainMulAccs.load(std::memory_order_relaxed)};
-    }
-
-    void
-    reset()
-    {
-        subsOps.store(0, std::memory_order_relaxed);
-        externalProducts.store(0, std::memory_order_relaxed);
-        plainMulAccs.store(0, std::memory_order_relaxed);
+        return {subsOps.value(), externalProducts.value(),
+                plainMulAccs.value()};
     }
 };
 
@@ -171,7 +163,6 @@ class PirServer
     int localLevels() const;
 
     const ServerCounters &counters() const { return counters_; }
-    void resetCounters() const { counters_.reset(); }
 
     const PirParams &params() const { return params_; }
 

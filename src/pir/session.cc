@@ -8,16 +8,12 @@ namespace ive {
 namespace {
 
 /**
- * Request/response accounting at the bytes-only session boundary plus
- * the end-to-end answer and serialize stage histograms. The answer
- * span opens after the QueryTrace so trace capture sees the whole
- * query, including response serialization.
+ * End-to-end answer and serialize stage latencies. The answer span
+ * opens after the QueryTrace so trace capture sees the whole query,
+ * including response serialization.
  */
 struct SessionMetrics
 {
-    obs::Counter &queries;
-    obs::Counter &requestBytes;
-    obs::Counter &responseBytes;
     obs::Histogram &answerNs;
     obs::Histogram &serializeNs;
 };
@@ -28,11 +24,6 @@ sessionMetrics()
     namespace n = obs::names;
     obs::Registry &r = obs::Registry::global();
     static SessionMetrics m{
-        r.counter(n::kSessionQueries, "queries answered over the wire"),
-        r.counter(n::kSessionRequestBytes,
-                  "query blob bytes received"),
-        r.counter(n::kSessionResponseBytes,
-                  "response blob bytes produced"),
         r.histogram(n::kStageAnswer, "serving stage latency, by stage"),
         r.histogram(n::kStageSerialize,
                     "serving stage latency, by stage"),
@@ -41,6 +32,17 @@ sessionMetrics()
 }
 
 } // namespace
+
+SessionCounters::SessionCounters()
+    : queries(obs::Registry::global().counter(
+          obs::names::kSessionQueries, "queries answered over the wire")),
+      requestBytes(obs::Registry::global().counter(
+          obs::names::kSessionRequestBytes, "query blob bytes received")),
+      responseBytes(obs::Registry::global().counter(
+          obs::names::kSessionResponseBytes,
+          "response blob bytes produced"))
+{
+}
 
 ClientSession::ClientSession(const PirParams &params, u64 seed)
     : params_(params), ctx_(params_.he), client_(ctx_, params_, seed)
@@ -190,12 +192,13 @@ ServerSession::requireFullDatabase() const
 
 std::vector<u8>
 answerQueryBlob(const HeContext &ctx, const PirServer &server,
-                std::span<const u8> query_blob, const ShardSlot *partial)
+                std::span<const u8> query_blob, SessionCounters &traffic,
+                const ShardSlot *partial)
 {
     SessionMetrics &sm = sessionMetrics();
     obs::Tracer::QueryTrace trace(partial ? "partial" : "answer");
     obs::StageSpan whole(&sm.answerNs, "answer");
-    sm.requestBytes.add(query_blob.size());
+    traffic.requestBytes.add(query_blob.size());
     PirQuery q = deserializeQuery(ctx, query_blob);
     std::vector<BfvCiphertext> planes = server.processAllPlanes(q);
     std::vector<u8> out;
@@ -208,8 +211,8 @@ answerQueryBlob(const HeContext &ctx, const PirServer &server,
                       : serializeResponse(ctx,
                                           PirResponse{std::move(planes)});
     }
-    sm.responseBytes.add(out.size());
-    sm.queries.add(1);
+    traffic.responseBytes.add(out.size());
+    traffic.queries.add(1);
     return out;
 }
 
@@ -217,19 +220,14 @@ std::vector<u8>
 ServerSession::answer(std::span<const u8> query_blob) const
 {
     requireFullDatabase();
-    std::vector<u8> out = answerQueryBlob(ctx_, server(), query_blob);
-    queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
-    return out;
+    return answerQueryBlob(ctx_, server(), query_blob, traffic_);
 }
 
 std::vector<u8>
 ServerSession::answerPartial(std::span<const u8> query_blob) const
 {
     const ShardSlot slot{shard_, numShards_};
-    std::vector<u8> out =
-        answerQueryBlob(ctx_, server(), query_blob, &slot);
-    queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
-    return out;
+    return answerQueryBlob(ctx_, server(), query_blob, traffic_, &slot);
 }
 
 const ServerCounters &

@@ -47,16 +47,33 @@ struct ShardSlot
 };
 
 /**
+ * Bytes-only session traffic of one serving object (a ServerSession,
+ * a TCP front-end): queries answered and request/response blob bytes.
+ * Each is an instance counter linked to its process series
+ * (ive_session_*_total), so one add() updates both.
+ */
+struct SessionCounters
+{
+    SessionCounters();
+
+    obs::Counter queries;       ///< Answers produced.
+    obs::Counter requestBytes;  ///< Query blob bytes received.
+    obs::Counter responseBytes; ///< Response blob bytes produced.
+};
+
+/**
  * The one answer routine of the bytes-only boundary: deserializes the
  * query blob, runs server.processAllPlanes() and serializes the planes
  * — as a Response blob when `partial` is null, else as that slot's
- * PartialResponse blob. Records the session request/response/answer
- * metrics and claims a query trace around the whole call. Throws
- * SerializeError for a malformed blob.
+ * PartialResponse blob. Adds the request, response and answer to
+ * `traffic`, records the answer/serialize stage latencies and claims
+ * a query trace around the whole call. Throws SerializeError for a
+ * malformed blob (its request bytes are still counted).
  */
 std::vector<u8> answerQueryBlob(const HeContext &ctx,
                                 const PirServer &server,
                                 std::span<const u8> query_blob,
+                                SessionCounters &traffic,
                                 const ShardSlot *partial = nullptr);
 
 class ClientSession
@@ -133,12 +150,8 @@ class ServerSession
     /** Pipeline op counters of the underlying server (keys required). */
     const ServerCounters &counters() const;
 
-    /** Cumulative queries answered over the session's lifetime. */
-    u64
-    queriesAnswered() const
-    {
-        return queriesAnswered_.load(std::memory_order_relaxed);
-    }
+    /** Wire traffic answered over the session's lifetime. */
+    const SessionCounters &traffic() const { return traffic_; }
 
   private:
     const PirServer &server() const;
@@ -157,8 +170,7 @@ class ServerSession
      * handshake order is what TSan's session suites pin down.
      */
     std::unique_ptr<PirServer> server_;
-    /// Relaxed atomic; see common/annotations.hh for the policy.
-    mutable std::atomic<u64> queriesAnswered_{0};
+    mutable SessionCounters traffic_;
 };
 
 } // namespace ive

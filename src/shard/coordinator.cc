@@ -12,45 +12,15 @@ namespace ive {
 
 namespace {
 
-/**
- * Coordinator traffic and failure handling mirrored into the
- * process-wide registry. The per-instance atomics stay the source of
- * truth for summary(); these only aggregate across coordinators for
- * render().
- */
-struct CoordMetrics
+/** Shard calls that needed a retry: first attempt to success. */
+obs::Histogram &
+retryLatencyNs()
 {
-    obs::Counter &queries;
-    obs::Counter &broadcastBytes;
-    obs::Counter &gatherBytes;
-    obs::Counter &retries;
-    obs::Counter &failovers;
-    obs::Counter &deadlineMisses;
-    obs::Histogram &retryLatencyNs;
-};
-
-CoordMetrics &
-coordMetrics()
-{
-    namespace n = obs::names;
-    obs::Registry &r = obs::Registry::global();
-    static CoordMetrics m{
-        r.counter(n::kShardQueries,
-                  "queries folded by shard coordinators"),
-        r.counter(n::kShardBroadcastBytes,
-                  "query bytes broadcast to shards"),
-        r.counter(n::kShardGatherBytes,
-                  "partial-response bytes gathered from shards"),
-        r.counter(n::kShardRetries, "re-attempted shard replica calls"),
-        r.counter(n::kFailovers,
-                  "shard retries that switched to another replica"),
-        r.counter(n::kDeadlineMissShard,
-                  "shard replica calls cut off by the per-call deadline"),
-        r.histogram(n::kRetryLatencyNs,
-                    "first-attempt-to-success latency of shard calls "
-                    "that needed at least one retry"),
-    };
-    return m;
+    static obs::Histogram &h = obs::Registry::global().histogram(
+        obs::names::kRetryLatencyNs,
+        "first-attempt-to-success latency of shard calls that needed "
+        "at least one retry");
+    return h;
 }
 
 } // namespace
@@ -74,7 +44,24 @@ ShardCoordinator::ShardCoordinator(std::span<const u8> params_blob,
 ShardCoordinator::ShardCoordinator(const PirParams &params,
                                    u32 num_shards,
                                    const FailoverConfig &fo)
-    : params_(params), ctx_(params_.he), numShards_(num_shards), fo_(fo)
+    : params_(params), ctx_(params_.he), numShards_(num_shards), fo_(fo),
+      queries_(obs::Registry::global().counter(
+          obs::names::kShardQueries,
+          "queries folded by shard coordinators")),
+      broadcastBytes_(obs::Registry::global().counter(
+          obs::names::kShardBroadcastBytes,
+          "query bytes broadcast to shards")),
+      gatherBytes_(obs::Registry::global().counter(
+          obs::names::kShardGatherBytes,
+          "partial-response bytes gathered from shards")),
+      retries_(obs::Registry::global().counter(
+          obs::names::kShardRetries, "re-attempted shard replica calls")),
+      failovers_(obs::Registry::global().counter(
+          obs::names::kFailovers,
+          "shard retries that switched to another replica")),
+      deadlineMisses_(obs::Registry::global().counter(
+          obs::names::kDeadlineMissShard,
+          "shard replica calls cut off by the per-call deadline"))
 {
     if (fo_.replicas == 0)
         throw std::invalid_argument(
@@ -166,8 +153,7 @@ ShardCoordinator::callReplica(ShardServer &srv,
         LockGuard lk(watchdogMu_);
         abandoned_.push_back(std::move(runner));
     }
-    deadlineMisses_.fetch_add(1, std::memory_order_relaxed);
-    coordMetrics().deadlineMisses.add(1);
+    deadlineMisses_.add(1);
     throw DeadlineExceeded(strprintf(
         "shard %u replica call exceeded its %.3fs deadline",
         srv.shard(), fo_.shardDeadlineSec));
@@ -177,7 +163,6 @@ std::vector<u8>
 ShardCoordinator::gatherSlice(u32 slice,
                               std::span<const u8> query_blob)
 {
-    CoordMetrics &cm = coordMetrics();
     const u32 attempts =
         fo_.maxAttempts ? fo_.maxAttempts : 2 * fo_.replicas;
     const u64 t0 = obs::nowNs();
@@ -187,7 +172,7 @@ ShardCoordinator::gatherSlice(u32 slice,
             std::vector<u8> partial =
                 callReplica(replica(slice, r), query_blob);
             if (a > 0)
-                cm.retryLatencyNs.record(obs::nowNs() - t0);
+                retryLatencyNs().record(obs::nowNs() - t0);
             return partial;
         } catch (const Error &e) {
             // Typed serving failures (injected faults, deadline
@@ -200,12 +185,9 @@ ShardCoordinator::gatherSlice(u32 slice,
                     "shard %u unavailable: %u replica(s), %u attempts, "
                     "last error: %s",
                     slice, fo_.replicas, attempts, e.what()));
-            retries_.fetch_add(1, std::memory_order_relaxed);
-            cm.retries.add(1);
-            if ((a + 1) % fo_.replicas != r) {
-                failovers_.fetch_add(1, std::memory_order_relaxed);
-                cm.failovers.add(1);
-            }
+            retries_.add(1);
+            if ((a + 1) % fo_.replicas != r)
+                failovers_.add(1);
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(backoffDelaySec(fo_, a)));
         }
@@ -229,9 +211,7 @@ ShardCoordinator::answer(std::span<const u8> query_blob)
     parallelFor(0, numShards_, [&](u64 s) {
         partials[s] = gatherSlice(static_cast<u32>(s), query_blob);
     });
-    broadcastBytes_.fetch_add(query_blob.size() * numShards_,
-                              std::memory_order_relaxed);
-    coordMetrics().broadcastBytes.add(query_blob.size() * numShards_);
+    broadcastBytes_.add(query_blob.size() * numShards_);
     return finishFold(query, partials);
 }
 
@@ -281,8 +261,7 @@ ShardCoordinator::finishFold(
         gather_bytes += blob.size();
         partials[idx] = std::move(p);
     }
-    gatherBytes_.fetch_add(gather_bytes, std::memory_order_relaxed);
-    coordMetrics().gatherBytes.add(gather_bytes);
+    gatherBytes_.add(gather_bytes);
 
     PirResponse resp;
     if (n == 1) {
@@ -313,8 +292,7 @@ ShardCoordinator::finishFold(
                 srv.colTor(std::move(entries), selectors, sel_offset);
         }
     }
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    coordMetrics().queries.add(1);
+    queries_.add(1);
     return serializeResponse(ctx_, resp);
 }
 
@@ -324,17 +302,16 @@ ShardCoordinator::summary() const
     ShardCountersSummary s;
     s.numShards = numShards();
     s.numReplicas = fo_.replicas;
-    s.queries = queries_.load(std::memory_order_relaxed);
+    s.queries = queries_.value();
     for (const auto &engine : engines_)
         s.shardOps += engine->opCounters();
     if (foldServer_)
         s.foldOps = foldServer_->counters().snapshot();
-    s.broadcastBytes = broadcastBytes_.load(std::memory_order_relaxed);
-    s.gatherBytes = gatherBytes_.load(std::memory_order_relaxed);
-    s.retries = retries_.load(std::memory_order_relaxed);
-    s.failovers = failovers_.load(std::memory_order_relaxed);
-    s.deadlineMisses =
-        deadlineMisses_.load(std::memory_order_relaxed);
+    s.broadcastBytes = broadcastBytes_.value();
+    s.gatherBytes = gatherBytes_.value();
+    s.retries = retries_.value();
+    s.failovers = failovers_.value();
+    s.deadlineMisses = deadlineMisses_.value();
     return s;
 }
 

@@ -173,16 +173,16 @@ class ShardCoordinator
     /** engines_[slice * replicas + r]; identical content per slice. */
     std::vector<std::unique_ptr<ShardServer>> engines_;
     std::unique_ptr<PirServer> foldServer_; ///< db = nullptr.
-    // Traffic tallies are relaxed atomics, not mutex-guarded state:
-    // concurrent answer() calls bump them independently and summary()
-    // reads a (possibly torn-across-fields) snapshot by design. See
-    // common/annotations.hh for the policy on atomics vs capabilities.
-    std::atomic<u64> queries_{0};
-    std::atomic<u64> broadcastBytes_{0};
-    std::atomic<u64> gatherBytes_{0};
-    std::atomic<u64> retries_{0};
-    std::atomic<u64> failovers_{0};
-    std::atomic<u64> deadlineMisses_{0};
+    // Traffic and failover tallies, each linked to its process series
+    // (obs/metrics.hh): concurrent answer() calls bump them
+    // independently and summary() reads a (possibly torn-across-
+    // fields) snapshot by design.
+    obs::Counter queries_;
+    obs::Counter broadcastBytes_;
+    obs::Counter gatherBytes_;
+    obs::Counter retries_;
+    obs::Counter failovers_;
+    obs::Counter deadlineMisses_;
     /** Replica calls whose deadline expired: the watchdog thread is
      *  parked here and joined in the destructor, never detached, so
      *  ASan/TSan see every exit path. */

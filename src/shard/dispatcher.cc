@@ -13,20 +13,13 @@ namespace ive {
 namespace {
 
 /**
- * Dispatcher telemetry: queue pressure (depth gauge, window-wait
- * histogram), batching efficiency (batch-size histogram), and
- * admission control (shed and deadline-miss counters). The
- * DispatcherStats struct stays the exact per-instance view; these
- * aggregate across dispatchers for render().
+ * Dispatcher telemetry with no instance owner: queue pressure
+ * (window-wait histogram) and batching efficiency (batch-size
+ * histogram). The counters and the queue-depth gauge are the
+ * dispatcher's own members, linked to their process series.
  */
 struct DispatchMetrics
 {
-    obs::Counter &submitted;
-    obs::Counter &completed;
-    obs::Counter &batches;
-    obs::Counter &shed;
-    obs::Counter &expired;
-    obs::Gauge &queueDepth;
     obs::Histogram &windowWaitNs;
     obs::Histogram &batchSize;
 };
@@ -37,15 +30,6 @@ dispatchMetrics()
     namespace n = obs::names;
     obs::Registry &r = obs::Registry::global();
     static DispatchMetrics m{
-        r.counter(n::kDispatchSubmitted, "queries submitted"),
-        r.counter(n::kDispatchCompleted,
-                  "query futures resolved (success or error)"),
-        r.counter(n::kDispatchBatches, "batches dispatched"),
-        r.counter(n::kQueriesShed,
-                  "queries rejected at admission (Overloaded)"),
-        r.counter(n::kDeadlineMissDispatch,
-                  "queries whose deadline expired in the queue"),
-        r.gauge(n::kDispatchQueueDepth, "queries waiting for a window"),
         r.histogram(n::kDispatchWindowWaitNs,
                     "submit-to-dispatch wait per query"),
         r.histogram(n::kDispatchBatchSize, "queries per batch"),
@@ -55,7 +39,24 @@ dispatchMetrics()
 
 } // namespace
 
-ShardDispatcher::ShardDispatcher(const SchedulerConfig &cfg) : cfg_(cfg)
+ShardDispatcher::ShardDispatcher(const SchedulerConfig &cfg)
+    : cfg_(cfg),
+      submitted_(obs::Registry::global().counter(
+          obs::names::kDispatchSubmitted, "queries submitted")),
+      completed_(obs::Registry::global().counter(
+          obs::names::kDispatchCompleted,
+          "query futures resolved (success or error)")),
+      batches_(obs::Registry::global().counter(
+          obs::names::kDispatchBatches, "batches dispatched")),
+      shed_(obs::Registry::global().counter(
+          obs::names::kQueriesShed,
+          "queries rejected at admission (Overloaded)")),
+      expired_(obs::Registry::global().counter(
+          obs::names::kDeadlineMissDispatch,
+          "queries whose deadline expired in the queue")),
+      queueDepth_(obs::Registry::global().gauge(
+          obs::names::kDispatchQueueDepth,
+          "queries waiting for a window"))
 {
     ive_assert(cfg_.maxBatch >= 1);
     ive_assert(cfg_.windowSec >= 0.0);
@@ -119,7 +120,6 @@ ShardDispatcher::enqueue(Pending p)
 {
     static fail::Failpoint &reject = fail::point("dispatch.queue.reject");
 
-    DispatchMetrics &dm = dispatchMetrics();
     std::exception_ptr rejection;
     {
         LockGuard lk(mu_);
@@ -129,23 +129,22 @@ ShardDispatcher::enqueue(Pending p)
         // lock before shutdown is flushed, and any that loses it is
         // rejected here — a racing submit can never strand a promise.
         if (stop_) {
-            ++stats_.rejectedShutdown;
+            ++rejectedShutdown_;
             rejection = std::make_exception_ptr(
                 ShutdownError("ShardDispatcher: submit after shutdown"));
         } else if ((cfg_.maxQueue > 0 &&
                     queue_.size() >=
                         static_cast<size_t>(cfg_.maxQueue)) ||
                    reject.evaluate()) {
-            ++stats_.shed;
-            dm.shed.add(1);
+            shed_.add(1);
             rejection = std::make_exception_ptr(Overloaded(
                 strprintf("ShardDispatcher: queue at high-water mark "
                           "(%zu waiting, maxQueue %d)",
                           queue_.size(), cfg_.maxQueue)));
         } else {
             queue_.push_back(std::move(p));
-            ++stats_.submitted;
-            dm.queueDepth.set(static_cast<i64>(queue_.size()));
+            submitted_.add(1);
+            queueDepth_.set(static_cast<i64>(queue_.size()));
         }
     }
     if (rejection) {
@@ -154,7 +153,6 @@ ShardDispatcher::enqueue(Pending p)
         p.done({}, std::move(rejection));
         return;
     }
-    dm.submitted.add(1);
     wake_.notify_all();
 }
 
@@ -172,7 +170,16 @@ DispatcherStats
 ShardDispatcher::stats() const
 {
     LockGuard lk(mu_);
-    return stats_;
+    DispatcherStats s;
+    s.submitted = submitted_.value();
+    s.completed = completed_.value();
+    s.batches = batches_.value();
+    s.fullBatches = fullBatches_;
+    s.maxBatch = maxBatch_;
+    s.shed = shed_.value();
+    s.expired = expired_.value();
+    s.rejectedShutdown = rejectedShutdown_;
+    return s;
 }
 
 void
@@ -223,24 +230,20 @@ ShardDispatcher::runLoop()
             else
                 batch.push_back(std::move(p));
         }
-        stats_.expired += lapsed.size();
-        stats_.completed += lapsed.size();
+        expired_.add(lapsed.size());
+        completed_.add(lapsed.size());
         inFlight_ = !batch.empty();
         if (!batch.empty()) {
-            ++stats_.batches;
+            batches_.add(1);
             if (full &&
                 take == static_cast<size_t>(cfg_.maxBatch))
-                ++stats_.fullBatches;
-            stats_.maxBatch =
-                std::max(stats_.maxBatch, u64{batch.size()});
+                ++fullBatches_;
+            maxBatch_ = std::max(maxBatch_, u64{batch.size()});
         }
-        DispatchMetrics &dm = dispatchMetrics();
-        dm.queueDepth.set(static_cast<i64>(queue_.size()));
+        queueDepth_.set(static_cast<i64>(queue_.size()));
         lk.unlock();
 
         if (!lapsed.empty()) {
-            dm.expired.add(lapsed.size());
-            dm.completed.add(lapsed.size());
             for (Pending &p : lapsed) {
                 const double waited =
                     static_cast<double>(dispatch_ns - p.arrivalNs) / 1e9;
@@ -259,7 +262,7 @@ ShardDispatcher::runLoop()
             continue;
         }
 
-        dm.batches.add(1);
+        DispatchMetrics &dm = dispatchMetrics();
         dm.batchSize.record(batch.size());
         for (const Pending &p : batch)
             dm.windowWaitNs.record(dispatch_ns >= p.arrivalNs
@@ -277,9 +280,8 @@ ShardDispatcher::runLoop()
             }
         }
 
-        dm.completed.add(batch.size());
         lk.lock();
-        stats_.completed += batch.size();
+        completed_.add(batch.size());
         inFlight_ = false;
         if (queue_.empty())
             idle_.notify_all();

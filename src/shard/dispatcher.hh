@@ -60,11 +60,13 @@
 
 #include "common/annotations.hh"
 #include "common/types.hh"
+#include "obs/metrics.hh"
 #include "shard/scheduler_config.hh"
 
 namespace ive {
 
-/** Cumulative dispatcher tallies (under one lock with the queue). */
+/** Cumulative dispatcher tallies, a copy of the dispatcher's counters
+ *  taken under the queue lock. */
 struct DispatcherStats
 {
     u64 submitted = 0;  ///< Accepted into the queue.
@@ -155,7 +157,18 @@ class ShardDispatcher
     CondVar wake_; ///< Queue grew or stop requested.
     CondVar idle_; ///< Queue drained, nothing in flight.
     std::deque<Pending> queue_ IVE_GUARDED_BY(mu_);
-    DispatcherStats stats_ IVE_GUARDED_BY(mu_);
+    // Tallies with a process series are counters linked to it
+    // (obs/metrics.hh); all are written under mu_ so stats() copies a
+    // consistent set.
+    obs::Counter submitted_;
+    obs::Counter completed_;
+    obs::Counter batches_;
+    obs::Counter shed_;
+    obs::Counter expired_;
+    obs::Gauge queueDepth_;
+    u64 fullBatches_ IVE_GUARDED_BY(mu_) = 0;
+    u64 maxBatch_ IVE_GUARDED_BY(mu_) = 0;
+    u64 rejectedShutdown_ IVE_GUARDED_BY(mu_) = 0;
     bool inFlight_ IVE_GUARDED_BY(mu_) = false;
     bool stop_ IVE_GUARDED_BY(mu_) = false;
     std::once_flag shutdownOnce_; ///< One joiner, even when racing.

@@ -61,11 +61,7 @@ std::vector<u8>
 ShardServer::answerPartial(std::span<const u8> query_blob)
 {
     maybeInjectShardFault(shard());
-    std::vector<u8> partial = session_.answerPartial(query_blob);
-    requestBytes_.fetch_add(query_blob.size(),
-                            std::memory_order_relaxed);
-    responseBytes_.fetch_add(partial.size(), std::memory_order_relaxed);
-    return partial;
+    return session_.answerPartial(query_blob);
 }
 
 ServerCountersSnapshot
@@ -77,9 +73,9 @@ ShardServer::opCounters() const
 ShardTraffic
 ShardServer::traffic() const
 {
-    return {session_.queriesAnswered(),
-            requestBytes_.load(std::memory_order_relaxed),
-            responseBytes_.load(std::memory_order_relaxed)};
+    const SessionCounters &t = session_.traffic();
+    return {t.queries.value(), t.requestBytes.value(),
+            t.responseBytes.value()};
 }
 
 } // namespace ive

@@ -4,9 +4,9 @@
  *
  * A ShardServer wraps the ServerSession for its record slice behind the
  * same bytes-only boundary a remote process would present: queries come
- * in as wire blobs, PartialResponse blobs go out, and the wrapper keeps
- * its own traffic counters (queries seen, request/response bytes) on
- * top of the session's pipeline op counters. The ShardCoordinator
+ * in as wire blobs, PartialResponse blobs go out, and the session's
+ * traffic counters (queries, request/response bytes) and pipeline op
+ * counters are the shard's tallies. The ShardCoordinator
  * (shard/coordinator.hh) owns one ShardServer per slice and finishes
  * the tournament fold over their partials.
  */
@@ -57,10 +57,6 @@ class ShardServer
 
   private:
     ServerSession session_;
-    // Relaxed atomics (concurrent answerPartial calls), no capability
-    // needed; see common/annotations.hh for the annotation policy.
-    std::atomic<u64> requestBytes_{0};
-    std::atomic<u64> responseBytes_{0};
 };
 
 } // namespace ive

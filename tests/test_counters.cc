@@ -22,21 +22,23 @@ TEST(Counters, ServerOpCountsMatchModel)
     Database db = Database::random(ctx, params, 2);
     PirServer server(ctx, params, &db, client.genPublicKeys());
 
-    server.resetCounters();
     PirQuery q = client.makeQuery(5);
     // testSmall has one plane, so this is one plane's pipeline.
     ASSERT_EQ(params.planes, 1);
+    const ServerCountersSnapshot before = server.counters().snapshot();
     (void)server.processAllPlanes(q);
+    const ServerCountersSnapshot after = server.counters().snapshot();
 
-    const ServerCounters &c = server.counters();
-    EXPECT_EQ(c.subsOps, expansionSubsCount(params));
+    EXPECT_EQ(after.subsOps - before.subsOps, expansionSubsCount(params));
     // External products: selector assembly (d * ellRgsw via RGSW(s))
     // plus the tournament (2^d - 1).
     u64 expected_ext = static_cast<u64>(params.d) * params.he.ellRgsw +
                        ((u64{1} << params.d) - 1);
-    EXPECT_EQ(c.externalProducts, expected_ext);
+    EXPECT_EQ(after.externalProducts - before.externalProducts,
+              expected_ext);
     // RowSel accumulations: one per database entry.
-    EXPECT_EQ(c.plainMulAccs, params.numEntries());
+    EXPECT_EQ(after.plainMulAccs - before.plainMulAccs,
+              params.numEntries());
 }
 
 TEST(Counters, ComplexityScalesLinearlyWithEntries)

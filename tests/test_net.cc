@@ -21,6 +21,7 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <map>
 #include <optional>
 #include <thread>
 
@@ -444,6 +445,33 @@ TEST(Registry, ConcurrentRegisterEvictLookup)
     EXPECT_GT(served.load(), 0u);
 }
 
+TEST(Registry, ProcessSessionGaugesSumLiveRegistries)
+{
+    // Each registry's occupancy gauges are linked to the process
+    // series, which must read the sum over the live registries — not
+    // the last registry that happened to write.
+    obs::Registry &r = obs::Registry::global();
+    obs::Gauge &active = r.gauge(obs::names::kSessionsActive);
+    obs::Gauge &bytes = r.gauge(obs::names::kSessionsBytes);
+    const i64 active0 = active.value();
+    const i64 bytes0 = bytes.value();
+
+    RegistryFixture f(1);
+    const i64 key_bytes =
+        static_cast<i64>(f.clients[0].keyBlob().size());
+    std::optional<SessionRegistry> other;
+    other.emplace(f.ctx, f.params, &f.db);
+    f.registerClient(0);
+    other->registerClient(0, f.clients[0].paramsBlob(),
+                          f.clients[0].keyBlob());
+    EXPECT_EQ(active.value() - active0, 2);
+    EXPECT_EQ(bytes.value() - bytes0, 2 * key_bytes);
+
+    other.reset(); // A destroyed registry withdraws its sessions.
+    EXPECT_EQ(active.value() - active0, 1);
+    EXPECT_EQ(bytes.value() - bytes0, key_bytes);
+}
+
 // ---------------------------------------------------------------------
 // ShardDispatcher delivery flavors (the front-end's contract).
 
@@ -769,6 +797,118 @@ TEST(NetServer, DrainAnswersInFlightThenCloses)
     EXPECT_EQ(f.server->registry().stats().registered, 1u);
     f.server->stop();
     f.server->stop(); // Idempotent.
+}
+
+// ---------------------------------------------------------------------
+// Process series: every per-server tally with an obs series is linked
+// to it, so the two agree exactly and gauges sum the live servers.
+
+TEST(NetServer, ProcessConnectionGaugeSumsLiveServers)
+{
+    obs::Gauge &conns =
+        obs::Registry::global().gauge(obs::names::kNetConnections);
+    const i64 conns0 = conns.value();
+
+    NetFixture f1, f2;
+    PirTcpClient c1 = f1.connect(), c2 = f2.connect();
+    // A round trip proves each server has accepted its connection.
+    EXPECT_EQ(c1.hello(1).generation, 0u);
+    EXPECT_EQ(c2.hello(2).generation, 0u);
+    EXPECT_EQ(conns.value() - conns0, 2);
+
+    f1.server->stop();
+    EXPECT_EQ(f1.server->stats().activeConnections, 0u);
+    EXPECT_EQ(f2.server->stats().activeConnections, 1u);
+    EXPECT_EQ(conns.value() - conns0, 1);
+}
+
+TEST(NetServer, StatsReconcileWithProcessSeries)
+{
+    namespace n = obs::names;
+    obs::Registry &r = obs::Registry::global();
+    const char *const counters[] = {
+        n::kNetAccepted,         n::kNetRejected,
+        n::kNetFramesIn,         n::kNetFramesOut,
+        n::kNetBytesIn,          n::kNetBytesOut,
+        n::kNetErrorFrames,      n::kNetDeadlineCloses,
+        n::kDispatchSubmitted,   n::kDispatchCompleted,
+        n::kDispatchBatches,     n::kQueriesShed,
+        n::kDeadlineMissDispatch, n::kSessionsRegistered,
+        n::kSessionsEvicted,
+    };
+    const char *const gauges[] = {n::kNetConnections, n::kSessionsActive,
+                                  n::kSessionsBytes};
+    std::map<std::string, i64> start;
+    for (const char *c : counters)
+        start[c] = static_cast<i64>(r.counter(c).value());
+    for (const char *g : gauges)
+        start[g] = r.gauge(g).value();
+    auto counterDelta = [&](const char *name) {
+        return static_cast<u64>(static_cast<i64>(r.counter(name).value()) -
+                                start.at(name));
+    };
+    auto gaugeDelta = [&](const char *name) {
+        return static_cast<u64>(r.gauge(name).value() - start.at(name));
+    };
+
+    // Two connections allowed, room for one session: the second
+    // registration evicts the first.
+    const PirParams params = netParams();
+    ClientSession a(params, 31), b(params, 32);
+    net::NetServerConfig cfg = NetFixture::latencyConfig();
+    cfg.maxConnections = 2;
+    cfg.registry.memoryBudgetBytes = a.keyBlob().size();
+    NetFixture f(cfg);
+
+    PirTcpClient ca = f.connect(), cb = f.connect(5.0);
+    const u64 ga = ca.registerKeys(1, a.paramsBlob(), a.keyBlob());
+    EXPECT_FALSE(ca.query(1, ga, a.queryBlob(0)).empty());
+    EXPECT_EQ(cb.hello(2).generation, 0u);
+    {
+        PirTcpClient over = f.connect(5.0);
+        EXPECT_THROW((void)over.hello(3), Overloaded);
+    }
+    {
+        FailpointGuard shed("dispatch.queue.reject=nth:1");
+        EXPECT_THROW((void)ca.query(1, ga, a.queryBlob(1)), Overloaded);
+    }
+    const u64 gb = cb.registerKeys(2, b.paramsBlob(), b.keyBlob());
+    EXPECT_FALSE(cb.query(2, gb, b.queryBlob(2)).empty());
+    const std::vector<u8> garbage = {'n', 'o', 'p', 'e', 1, 2, 3, 4};
+    cb.sendFrame(garbage);
+    EXPECT_EQ(deserializeErrorResponse(cb.recvFrame()).code,
+              NetErrorCode::BadFrame);
+    f.server->stop(); // Quiesce: no tally moves after this.
+
+    const net::NetServerStats st = f.server->stats();
+    const DispatcherStats ds = f.server->dispatcherStats();
+    const net::RegistryStats rs = f.server->registry().stats();
+    // The workload exercised every path it was built to.
+    EXPECT_EQ(st.accepted, 2u);
+    EXPECT_EQ(st.rejected, 1u);
+    EXPECT_EQ(st.errorFrames, 2u); // Shed query + garbage frame.
+    EXPECT_EQ(ds.shed, 1u);
+    EXPECT_EQ(rs.registered, 2u);
+    EXPECT_EQ(rs.evicted, 1u);
+
+    EXPECT_EQ(st.accepted, counterDelta(n::kNetAccepted));
+    EXPECT_EQ(st.rejected, counterDelta(n::kNetRejected));
+    EXPECT_EQ(st.activeConnections, gaugeDelta(n::kNetConnections));
+    EXPECT_EQ(st.framesIn, counterDelta(n::kNetFramesIn));
+    EXPECT_EQ(st.framesOut, counterDelta(n::kNetFramesOut));
+    EXPECT_EQ(st.bytesIn, counterDelta(n::kNetBytesIn));
+    EXPECT_EQ(st.bytesOut, counterDelta(n::kNetBytesOut));
+    EXPECT_EQ(st.errorFrames, counterDelta(n::kNetErrorFrames));
+    EXPECT_EQ(st.deadlineCloses, counterDelta(n::kNetDeadlineCloses));
+    EXPECT_EQ(ds.submitted, counterDelta(n::kDispatchSubmitted));
+    EXPECT_EQ(ds.completed, counterDelta(n::kDispatchCompleted));
+    EXPECT_EQ(ds.batches, counterDelta(n::kDispatchBatches));
+    EXPECT_EQ(ds.shed, counterDelta(n::kQueriesShed));
+    EXPECT_EQ(ds.expired, counterDelta(n::kDeadlineMissDispatch));
+    EXPECT_EQ(rs.active, gaugeDelta(n::kSessionsActive));
+    EXPECT_EQ(rs.bytes, gaugeDelta(n::kSessionsBytes));
+    EXPECT_EQ(rs.registered, counterDelta(n::kSessionsRegistered));
+    EXPECT_EQ(rs.evicted, counterDelta(n::kSessionsEvicted));
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
  * Telemetry layer: histogram bucket math and percentile bounds against
- * a reference sort, concurrent recording, registry exposition goldens
+ * a reference sort, concurrent recording, instance counters and gauges
+ * linked to a process total, registry exposition goldens
  * (Prometheus text + JSON), and Chrome-trace capture (span nesting,
  * cross-thread merge, IVE_TRACE_DIR smoke).
  */
@@ -131,6 +132,74 @@ TEST(ObsHistogram, ConcurrentRecordingLosesNothing)
     EXPECT_EQ(bucket_total, s.count);
 }
 
+TEST(ObsLinked, CounterAddForwardsAndResetStaysLocal)
+{
+    obs::Counter total;
+    obs::Counter a(total), b(total);
+    a.add(3);
+    b.add();
+    a.add(2);
+    EXPECT_EQ(a.value(), 5u);
+    EXPECT_EQ(b.value(), 1u);
+    EXPECT_EQ(total.value(), 6u);
+
+    // An instance reset zeroes the instance only: the process total
+    // is cumulative over every instance that ever fed it.
+    a.reset();
+    EXPECT_EQ(a.value(), 0u);
+    EXPECT_EQ(total.value(), 6u);
+    a.add(4);
+    EXPECT_EQ(total.value(), 10u);
+}
+
+TEST(ObsLinked, GaugeSetForwardsDeltaAndDestructionWithdraws)
+{
+    obs::Gauge total;
+    obs::Gauge b(total);
+    {
+        obs::Gauge a(total);
+        a.set(5);
+        b.set(2);
+        EXPECT_EQ(total.value(), 7);
+        a.set(3); // Moves the total by 3 - 5, not to 3.
+        EXPECT_EQ(total.value(), 5);
+        a.add(-1);
+        EXPECT_EQ(a.value(), 2);
+        EXPECT_EQ(total.value(), 4);
+        b.reset();
+        EXPECT_EQ(b.value(), 0);
+        EXPECT_EQ(total.value(), 4);
+    }
+    // a's destructor withdrew its level of 2.
+    EXPECT_EQ(total.value(), 2);
+    b.set(1);
+    EXPECT_EQ(total.value(), 3);
+}
+
+TEST(ObsLinked, ConcurrentInstancesSumExactly)
+{
+    obs::Counter total;
+    obs::Gauge level;
+    constexpr int kThreads = 4;
+    constexpr u64 kPerThread = 20000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&total, &level] {
+            obs::Counter mine(total);
+            obs::Gauge depth(level);
+            for (u64 i = 0; i < kPerThread; ++i) {
+                mine.add(2);
+                depth.set(static_cast<i64>(i % 7));
+            }
+            EXPECT_EQ(mine.value(), 2 * kPerThread);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(total.value(), kThreads * 2 * kPerThread);
+    EXPECT_EQ(level.value(), 0); // Every instance withdrew its level.
+}
+
 TEST(ObsRegistry, StableHandlesAndKindMismatch)
 {
     obs::Registry r;
@@ -142,6 +211,13 @@ TEST(ObsRegistry, StableHandlesAndKindMismatch)
     EXPECT_THROW(r.histogram("ive_x_total"), std::logic_error);
     r.resetAll();
     EXPECT_EQ(a.value(), 0u);
+
+    // A reader that looked a series up first leaves its help empty;
+    // the owner's later registration fills it in.
+    r.counter("ive_y_total");
+    r.counter("ive_y_total", "owner help");
+    EXPECT_NE(r.renderPrometheus().find("# HELP ive_y_total owner help"),
+              std::string::npos);
 }
 
 TEST(ObsRegistry, PrometheusRenderGolden)

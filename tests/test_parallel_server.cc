@@ -260,19 +260,23 @@ TEST(ParallelServer, CountersStayExactUnderParallelism)
     PirFixture f(params, 77);
     PirQuery q = f.client.makeQuery(5);
 
+    // Ops one query adds to the server's counters at this thread count.
+    auto queryOps = [&] {
+        const ServerCountersSnapshot a = f.server.counters().snapshot();
+        (void)f.server.processAllPlanes(q);
+        const ServerCountersSnapshot b = f.server.counters().snapshot();
+        return ServerCountersSnapshot{
+            b.subsOps - a.subsOps,
+            b.externalProducts - a.externalProducts,
+            b.plainMulAccs - a.plainMulAccs};
+    };
     ThreadPool::setGlobalThreads(1);
-    f.server.resetCounters();
-    (void)f.server.processAllPlanes(q);
-    u64 subs = f.server.counters().subsOps;
-    u64 ext = f.server.counters().externalProducts;
-    u64 macs = f.server.counters().plainMulAccs;
-
+    const ServerCountersSnapshot serial = queryOps();
     ThreadPool::setGlobalThreads(8);
-    f.server.resetCounters();
-    (void)f.server.processAllPlanes(q);
-    EXPECT_EQ(f.server.counters().subsOps, subs);
-    EXPECT_EQ(f.server.counters().externalProducts, ext);
-    EXPECT_EQ(f.server.counters().plainMulAccs, macs);
+    const ServerCountersSnapshot parallel = queryOps();
+    EXPECT_EQ(parallel.subsOps, serial.subsOps);
+    EXPECT_EQ(parallel.externalProducts, serial.externalProducts);
+    EXPECT_EQ(parallel.plainMulAccs, serial.plainMulAccs);
     ThreadPool::setGlobalThreads(1);
 }
 
