@@ -7,8 +7,8 @@
  * The CPU row is *measured*: the functional OnionPIR-style pipeline
  * runs on this host over a resident-size database, then the linear
  * phases are extrapolated to the target size and scaled by 32 cores
- * (queries and database rows are embarrassingly parallel; see
- * EXPERIMENTS.md). GPU rows use the roofline model; IVE rows use the
+ * (queries and database rows are embarrassingly parallel;
+ * pir/batch.hh's extrapolateCpu). GPU rows use the roofline model; IVE rows use the
  * cycle-level simulator.
  */
 

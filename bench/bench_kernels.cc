@@ -334,10 +334,12 @@ BENCHMARK(BM_IcrtReconstruct);
 
 // --- per-ISA backend columns ----------------------------------------
 //
-// One row per runnable backend per hot kernel (the dispatch table of
-// poly/simd/simd.hh), so README's per-ISA table comes from a single
-// run on the widest machine available. The default-named benchmarks
-// above stay on the *active* backend — the trajectory numbers.
+// One row per runnable table (simd::runnableBackends(): scalar, avx2,
+// the generic avx512 table and, on IFMA hosts, avx512-ifma) per hot
+// kernel of the dispatch table (poly/simd/simd.hh), so README's per-ISA
+// table comes from a single run on the widest machine available. The
+// default-named benchmarks above stay on the *active* backend — the
+// trajectory numbers.
 
 namespace {
 
@@ -426,16 +428,111 @@ isaApplyCoeffMap(benchmark::State &state, const simd::Kernels *k)
     state.SetItemsProcessed(state.iterations() * ring.n);
 }
 
+/**
+ * Operands of the element-wise kernels over the fixture ring's first
+ * prime: random canonical planes b (with its x2^64 Shoup companions),
+ * lazy u64 chain sums and u128 accumulators inside the macReduce
+ * contract (acc >> 64 < 2^32).
+ */
+struct VecOperands
+{
+    VecOperands()
+        : mod(fixture().ctx.ring().base.modulus(0)),
+          n(fixture().ctx.ring().n), a(n), b(n), bShoup(n), acc64(n),
+          acc128(n)
+    {
+        const u64 q = mod.value();
+        Rng rng(19);
+        for (u64 i = 0; i < n; ++i) {
+            a[i] = rng.uniform(q);
+            b[i] = rng.uniform(q);
+            bShoup[i] = mod.shoupPrecompute(b[i]);
+            acc64[i] = rng.uniform(~u64{0});
+            acc128[i] = (static_cast<u128>(rng.uniform(u64{1} << 32))
+                         << 64) |
+                        rng.uniform(~u64{0});
+        }
+    }
+
+    Modulus mod;
+    u64 n;
+    std::vector<u64> a, b, bShoup, acc64;
+    std::vector<u128> acc128;
+};
+
+const VecOperands &
+vecOperands()
+{
+    static const VecOperands v;
+    return v;
+}
+
+/**
+ * BM_Isa_<kernel> for an in-place element-wise kernel: op(k, v, dst)
+ * runs once per iteration on dst, which starts as plane a and stays
+ * canonical (canonicalizeVec sees its [0, 4q) domain only at first).
+ */
+template <class Op>
+void
+registerVecBench(const char *kernel, const simd::Kernels *k, Op op)
+{
+    std::string name = std::string("BM_Isa_") + kernel + "/" + k->name;
+    benchmark::RegisterBenchmark(
+        name.c_str(), [k, op](benchmark::State &state) {
+            const VecOperands &v = vecOperands();
+            std::vector<u64> dst = v.a;
+            for (auto _ : state) {
+                op(*k, v, dst.data());
+                benchmark::DoNotOptimize(dst.data());
+                benchmark::ClobberMemory();
+            }
+            state.SetItemsProcessed(state.iterations() * v.n);
+        });
+}
+
 int
 registerIsaBenches()
 {
-    for (simd::Isa isa :
-         {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
-        const simd::Kernels *k = simd::backend(isa);
-        if (k == nullptr)
-            continue;
+    using K = simd::Kernels;
+    using O = VecOperands;
+    for (const K *k : simd::runnableBackends()) {
         registerIsaBench("NttForward", k, &isaNttForward);
         registerIsaBench("NttInverse", k, &isaNttInverse);
+        registerVecBench("AddVec", k, [](const K &t, const O &v, u64 *d) {
+            t.addVec(d, v.b.data(), v.n, v.mod.value());
+        });
+        registerVecBench("SubVec", k, [](const K &t, const O &v, u64 *d) {
+            t.subVec(d, v.b.data(), v.n, v.mod.value());
+        });
+        registerVecBench("NegVec", k, [](const K &t, const O &v, u64 *d) {
+            t.negVec(d, v.n, v.mod.value());
+        });
+        registerVecBench("MulVec", k, [](const K &t, const O &v, u64 *d) {
+            t.mulVec(d, v.b.data(), v.n, v.mod);
+        });
+        registerVecBench(
+            "MulShoupVec", k, [](const K &t, const O &v, u64 *d) {
+                t.mulShoupVec(d, v.b.data(), v.bShoup.data(), v.n,
+                              v.mod.value());
+            });
+        registerVecBench(
+            "CanonicalizeVec", k, [](const K &t, const O &v, u64 *d) {
+                t.canonicalizeVec(d, v.n, v.mod.value());
+            });
+        registerVecBench("MulAccVec", k, [](const K &t, const O &v, u64 *d) {
+            t.mulAccVec(d, v.a.data(), v.b.data(), v.n, v.mod);
+        });
+        registerVecBench("MacReduce", k, [](const K &t, const O &v, u64 *d) {
+            t.macReduce(d, v.acc128.data(), v.n, v.mod);
+        });
+        registerVecBench(
+            "MacReduceAdd", k, [](const K &t, const O &v, u64 *d) {
+                t.macReduceAdd(d, v.acc128.data(), v.n, v.mod);
+            });
+        registerVecBench(
+            "LazyReduceAdd", k, [](const K &t, const O &v, u64 *d) {
+                t.lazyReduceAdd(d, v.acc64.data(), v.n, v.mod);
+            });
         registerIsaBench("MacChain", k, &isaMacChain);
         registerIsaBench("RowSelMac", k, &isaRowSelMac);
         registerIsaBench("ApplyCoeffMap", k, &isaApplyCoeffMap);

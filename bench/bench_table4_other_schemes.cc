@@ -55,8 +55,8 @@ double
 ksPirCpuSeconds(u64 db_bytes)
 {
     // Measure the full pipeline on a small instance with the same ring
-    // and extrapolate the linear phases (as for Fig. 12; see
-    // EXPERIMENTS.md).
+    // and extrapolate the linear phases (as bench_fig12_throughput
+    // does).
     KsPirParams meas;
     meas.base = PirParams::functionalDefault();
     meas.base.d0 = 64;

@@ -52,7 +52,9 @@
 # committed fixtures — is pinned end to end on whatever hardware CI
 # has, not just the widest ISA. A dispatch smoke prints which backend
 # the default leg actually exercised (a CI log that silently ran
-# scalar everywhere would otherwise look green).
+# scalar everywhere would otherwise look green). Before the tests, the
+# ISA leak guard (check_isa_leaks below) fails the run if a vector
+# object defines any weak symbol.
 # After the tests it runs `bench_e2e_query --quick` as a perf smoke —
 # that bench decodes the retrieved record and fails on mismatch, so the
 # optimized build is exercised end to end — followed by the obs gate,
@@ -96,6 +98,32 @@ FAULTS_FULL_RECIPE="shard.answer.delay=every:5,arg=2;shard.answer.error=nth:3"
 # truncated send()s and stalled reads reorder nothing and corrupt
 # nothing, so bench_serve --check must stay byte-identical under them.
 NET_FAULTS_RECIPE="net.write.short=every:3,arg=64;net.read.stall=every:7,arg=2"
+
+# ISA leak guard. The vector TUs are compiled with -mavx2 / -mavx512*
+# flags; a weak or COMDAT definition in their objects (an inline
+# function or template instance with external linkage, `W`/`V`/`u` in
+# nm) can be the copy the linker keeps for scalar or AVX2 callers, which
+# then SIGILL on a CPU without that ISA. The shared kernel headers
+# (src/poly/simd/vector_kernels.hh, avx512_lanes.hh) keep everything in
+# anonymous namespaces, so these objects must define strong symbols
+# only.
+check_isa_leaks() {
+    local objs
+    objs=$(find "$1" -name 'kernels_avx*.cc.o' | sort)
+    if [ -z "$objs" ]; then
+        echo "=== ISA leak guard: no vector objects in $1, skipped ==="
+        return 0
+    fi
+    local leaks
+    # shellcheck disable=SC2086 # one argument per object file
+    leaks=$(nm -A -C $objs | awk '$2 ~ /^[WVu]$/')
+    if [ -n "$leaks" ]; then
+        echo "ISA leak guard: weak definitions in vector objects:" >&2
+        echo "$leaks" >&2
+        return 1
+    fi
+    echo "ISA leak guard: $(echo "$objs" | wc -l) vector objects clean"
+}
 
 run_faults_stage() {
     echo "=== faults: quick tier-1 under delay-only IVE_FAILPOINTS ==="
@@ -179,6 +207,9 @@ fi
 echo "=== tier-1: Release build + ctest ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$JOBS"
+
+echo "=== ISA leak guard: no weak definitions in the vector objects ==="
+check_isa_leaks build
 
 echo "=== dispatch smoke: selected SIMD backend ==="
 ./build/tests/test_simd \

@@ -7,7 +7,8 @@
  * executes them against the same preprocessed database. The timing
  * helpers measure per-phase CPU cost on a resident-size database and
  * extrapolate the linear-in-D phases (RowSel, ColTor) to the paper's
- * multi-GB targets (see EXPERIMENTS.md for the methodology).
+ * multi-GB targets (see bench/bench_fig12_throughput.cc for the
+ * methodology).
  */
 
 #ifndef IVE_PIR_BATCH_HH

@@ -3,8 +3,14 @@
  * Internal linkage between the per-ISA translation units.
  *
  * Each backend TU defines one Kernels table; simd.cc resolves among
- * them. The scalar entry points are also declared here individually so
- * the vector TUs can tail-call them for loop remainders and for
+ * them. The vector tables are instantiations of the shared
+ * vector_kernels.hh templates: a TU-local lane type per ISA (avx2 in
+ * kernels_avx2.cc, avx512 in avx512_lanes.hh, shared by the generic
+ * and the IFMA TU) and, for the NTTs, a lazy Shoup product policy (the
+ * 2^64 one there, the 52-bit IFMA one in kernels_avx512ifma.cc).
+ *
+ * The scalar entry points are also declared here individually so the
+ * vector templates can tail-call them for loop remainders and for
  * modulus classes outside their fast path (e.g. >= 2^32 primes in the
  * 32-bit product kernels) — keeping the "identical canonical output"
  * contract trivially true on every path. Not installed API: only the
@@ -23,7 +29,10 @@ namespace ive::simd {
 //
 // The vector backends fall back to these for degrees too small for the
 // fused tail and for sub-vector-width stages; one definition keeps the
-// lazy-range invariants in one place across every TU.
+// lazy-range invariants in one place across every TU. Internal linkage:
+// each TU compiles its own copy for its own ISA.
+
+namespace {
 
 /** One forward block: inputs < 4q, u drops to [0, 2q), the Shoup
  *  product lands in [0, 2q), so both outputs stay < 4q. */
@@ -80,6 +89,8 @@ scalarRowSelMacRange(u64 *acc, const RowSelRun &run, u64 from, u64 n)
         }
     }
 }
+
+} // namespace
 
 extern const Kernels kScalarKernels;
 #ifdef IVE_SIMD_HAVE_AVX2

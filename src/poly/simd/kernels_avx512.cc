@@ -1,13 +1,13 @@
 /**
  * @file
- * AVX-512 backend: 8-lane u64 kernels (requires F + DQ).
+ * AVX-512 backend: 8-lane u64 kernels (requires F + DQ + VL).
  *
- * Compared with AVX2 this gets native unsigned 64-bit compares (mask
- * registers), vpminuq for the lazy conditional subtract, vpmullq for
- * low-64 products, and vpscatterqq for the automorphism permutation.
- * High-64 products are still synthesized from 2x32-bit vpmuludq
- * splits — AVX-512F has no 64-bit mulhi; the IFMA TU supplies the
- * faster 52-bit butterflies for moduli below 2^50.
+ * The kernel bodies are the shared vector_kernels.hh templates on the
+ * Avx512 lane type (avx512_lanes.hh), the NTTs with the 2^64 Shoup
+ * policy and the fused t = 4/2/1 tail; the IFMA TU supplies the 52-bit
+ * butterflies for moduli below 2^50. This TU keeps only what is
+ * AVX-512-specific: macAccumulate's mask-register carries and the
+ * vpscatterqq automorphism permutation.
  *
  * Compiled with -mavx512f -mavx512dq -mavx512vl in its own TU; only
  * reached behind the runtime cpuid check in simd.cc. Same contracts as
@@ -18,311 +18,15 @@
 
 #include <immintrin.h>
 
-#include "poly/kernels.hh"
-#include "poly/simd/avx512_tail.hh"
+#include "poly/simd/avx512_lanes.hh"
 #include "poly/simd/backends.hh"
-#include "poly/simd/rowsel_mac.hh"
+#include "poly/simd/vector_kernels.hh"
 
 namespace ive::simd {
 namespace {
 
-constexpr u64 kLanes = 8;
-
-/** a >= q ? a - q : a via unsigned min: a - q wraps huge when a < q. */
-inline __m512i
-csub(__m512i a, __m512i q)
-{
-    return _mm512_min_epu64(a, _mm512_sub_epi64(a, q));
-}
-
-/** High 64 bits of the full 128-bit product, per lane. */
-inline __m512i
-mulHi64(__m512i a, __m512i b)
-{
-    __m512i lo_mask = _mm512_set1_epi64(0xffffffffLL);
-    __m512i a1 = _mm512_srli_epi64(a, 32);
-    __m512i b1 = _mm512_srli_epi64(b, 32);
-    __m512i t00 = _mm512_mul_epu32(a, b);
-    __m512i t01 = _mm512_mul_epu32(a, b1);
-    __m512i t10 = _mm512_mul_epu32(a1, b);
-    __m512i t11 = _mm512_mul_epu32(a1, b1);
-    __m512i mid = _mm512_add_epi64(
-        _mm512_add_epi64(_mm512_srli_epi64(t00, 32),
-                         _mm512_and_si512(t01, lo_mask)),
-        _mm512_and_si512(t10, lo_mask));
-    return _mm512_add_epi64(
-        _mm512_add_epi64(t11, _mm512_srli_epi64(t01, 32)),
-        _mm512_add_epi64(_mm512_srli_epi64(t10, 32),
-                         _mm512_srli_epi64(mid, 32)));
-}
-
-/** Lazy Shoup product in [0, 2q): a*b - floor(a*bs/2^64)*q. */
-inline __m512i
-mulShoupLazyVec(__m512i a, __m512i b, __m512i bs, __m512i q)
-{
-    __m512i approx = mulHi64(a, bs);
-    return _mm512_sub_epi64(_mm512_mullo_epi64(a, b),
-                            _mm512_mullo_epi64(approx, q));
-}
-
-/** x mod q, canonical, for any u64 x. */
-inline __m512i
-reduce64(__m512i x, __m512i m_hi, __m512i q)
-{
-    __m512i t = mulHi64(x, m_hi);
-    __m512i r = _mm512_sub_epi64(x, _mm512_mullo_epi64(t, q));
-    return csub(r, q);
-}
-
-void
-canonicalizeVec(u64 *a, u64 n, u64 q)
-{
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i two_qv = _mm512_add_epi64(qv, qv);
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i v = _mm512_loadu_si512(a + i);
-        v = csub(csub(v, two_qv), qv);
-        _mm512_storeu_si512(a + i, v);
-    }
-    if (i < n)
-        scalar::canonicalizeVec(a + i, n - i, q);
-}
-
-void
-nttForwardLazy(u64 *a, u64 n, const Modulus &mod, const NttTwiddles &tb)
-{
-    const u64 q = mod.value();
-    const u64 *tw = tb.tw;
-    const u64 *tws = tb.twShoup;
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i two_qv = _mm512_add_epi64(qv, qv);
-    u64 t = n;
-    u64 m = 1;
-    for (; m < n; m <<= 1) {
-        t >>= 1;
-        if (t < kLanes)
-            break; // Remaining stages run fused below.
-        for (u64 i = 0; i < m; ++i) {
-            __m512i wv =
-                _mm512_set1_epi64(static_cast<long long>(tw[m + i]));
-            __m512i wsv =
-                _mm512_set1_epi64(static_cast<long long>(tws[m + i]));
-            u64 *x = a + 2 * i * t;
-            u64 *y = x + t;
-            for (u64 j = 0; j < t; j += kLanes) {
-                __m512i xv = _mm512_loadu_si512(x + j);
-                __m512i yv = _mm512_loadu_si512(y + j);
-                __m512i u = csub(xv, two_qv);
-                __m512i v = mulShoupLazyVec(yv, wv, wsv, qv);
-                _mm512_storeu_si512(x + j, _mm512_add_epi64(u, v));
-                _mm512_storeu_si512(
-                    y + j,
-                    _mm512_sub_epi64(_mm512_add_epi64(u, two_qv), v));
-            }
-        }
-    }
-    if (m < n) {
-        if (n >= 16) {
-            avx512tail::fwdTailStages(
-                a, n, tw, tws,
-                [&](__m512i x, __m512i y, __m512i w, __m512i ws,
-                    __m512i &nx, __m512i &ny) {
-                    __m512i u = csub(x, two_qv);
-                    __m512i v = mulShoupLazyVec(y, w, ws, qv);
-                    nx = _mm512_add_epi64(u, v);
-                    ny = _mm512_sub_epi64(_mm512_add_epi64(u, two_qv),
-                                          v);
-                });
-        } else {
-            for (; m < n; m <<= 1, t >>= 1) {
-                for (u64 i = 0; i < m; ++i) {
-                    const u64 w = tw[m + i];
-                    const u64 ws = tws[m + i];
-                    u64 *x = a + 2 * i * t;
-                    u64 *y = x + t;
-                    scalarFwdButterflyBlock(x, y, t, w, ws, q);
-                }
-            }
-        }
-    }
-    canonicalizeVec(a, n, q);
-}
-
-void
-nttInverseLazy(u64 *a, u64 n, const Modulus &mod, const NttTwiddles &tb,
-               u64 n_inv, u64 n_inv_shoup, u64 /*n_inv_shoup52*/)
-{
-    const u64 q = mod.value();
-    const u64 *tw = tb.tw;
-    const u64 *tws = tb.twShoup;
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i two_qv = _mm512_add_epi64(qv, qv);
-    u64 t = 1;
-    u64 m = n;
-    if (n >= 16) {
-        avx512tail::invTailStages(a, n, tw, tws,
-                      [&](__m512i x, __m512i y, __m512i w, __m512i ws,
-                          __m512i &nx, __m512i &ny) {
-                          __m512i s = _mm512_add_epi64(x, y);
-                          nx = csub(s, two_qv);
-                          __m512i d = _mm512_sub_epi64(
-                              _mm512_add_epi64(x, two_qv), y);
-                          ny = mulShoupLazyVec(d, w, ws, qv);
-                      });
-        t = 8;
-        m = n / 8;
-    }
-    for (; m > 1; m >>= 1) {
-        u64 j1 = 0;
-        u64 h = m >> 1;
-        for (u64 i = 0; i < h; ++i) {
-            const u64 w = tw[h + i];
-            const u64 ws = tws[h + i];
-            u64 *x = a + j1;
-            u64 *y = x + t;
-            if (t >= kLanes) {
-                __m512i wv = _mm512_set1_epi64(static_cast<long long>(w));
-                __m512i wsv =
-                    _mm512_set1_epi64(static_cast<long long>(ws));
-                for (u64 j = 0; j < t; j += kLanes) {
-                    __m512i u = _mm512_loadu_si512(x + j);
-                    __m512i v = _mm512_loadu_si512(y + j);
-                    __m512i s = _mm512_add_epi64(u, v);
-                    _mm512_storeu_si512(x + j, csub(s, two_qv));
-                    __m512i d = _mm512_sub_epi64(
-                        _mm512_add_epi64(u, two_qv), v);
-                    _mm512_storeu_si512(y + j,
-                                        mulShoupLazyVec(d, wv, wsv, qv));
-                }
-            } else {
-                scalarInvButterflyBlock(x, y, t, w, ws, q);
-            }
-            j1 += 2 * t;
-        }
-        t <<= 1;
-    }
-    __m512i niv = _mm512_set1_epi64(static_cast<long long>(n_inv));
-    __m512i nisv = _mm512_set1_epi64(static_cast<long long>(n_inv_shoup));
-    u64 j = 0;
-    for (; j + kLanes <= n; j += kLanes) {
-        __m512i v = _mm512_loadu_si512(a + j);
-        v = csub(mulShoupLazyVec(v, niv, nisv, qv), qv);
-        _mm512_storeu_si512(a + j, v);
-    }
-    for (; j < n; ++j) {
-        u64 v = kernels::mulShoupLazy(a[j], n_inv, n_inv_shoup, q);
-        a[j] = v >= q ? v - q : v;
-    }
-}
-
-void
-addVec(u64 *dst, const u64 *src, u64 n, u64 q)
-{
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i s = _mm512_add_epi64(_mm512_loadu_si512(dst + i),
-                                     _mm512_loadu_si512(src + i));
-        _mm512_storeu_si512(dst + i, csub(s, qv));
-    }
-    if (i < n)
-        scalar::addVec(dst + i, src + i, n - i, q);
-}
-
-void
-subVec(u64 *dst, const u64 *src, u64 n, u64 q)
-{
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i a = _mm512_loadu_si512(dst + i);
-        __m512i b = _mm512_loadu_si512(src + i);
-        __mmask8 lt = _mm512_cmplt_epu64_mask(a, b);
-        __m512i d = _mm512_sub_epi64(a, b);
-        _mm512_storeu_si512(dst + i,
-                            _mm512_mask_add_epi64(d, lt, d, qv));
-    }
-    if (i < n)
-        scalar::subVec(dst + i, src + i, n - i, q);
-}
-
-void
-negVec(u64 *dst, u64 n, u64 q)
-{
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i zero = _mm512_setzero_si512();
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i v = _mm512_loadu_si512(dst + i);
-        __mmask8 nz = _mm512_cmpneq_epu64_mask(v, zero);
-        _mm512_storeu_si512(
-            dst + i, _mm512_maskz_sub_epi64(nz, qv, v));
-    }
-    if (i < n)
-        scalar::negVec(dst + i, n - i, q);
-}
-
-void
-mulVec(u64 *dst, const u64 *src, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    if (q >= kFusedMacModulusBound) {
-        scalar::mulVec(dst, src, n, mod);
-        return;
-    }
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i mh =
-        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i a = _mm512_loadu_si512(dst + i);
-        __m512i b = _mm512_loadu_si512(src + i);
-        __m512i p = _mm512_mul_epu32(a, b); // both < 2^32
-        _mm512_storeu_si512(dst + i, reduce64(p, mh, qv));
-    }
-    if (i < n)
-        scalar::mulVec(dst + i, src + i, n - i, mod);
-}
-
-void
-mulShoupVec(u64 *dst, const u64 *b, const u64 *b_shoup, u64 n, u64 q)
-{
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i a = _mm512_loadu_si512(dst + i);
-        __m512i bv = _mm512_loadu_si512(b + i);
-        __m512i bsv = _mm512_loadu_si512(b_shoup + i);
-        __m512i r = mulShoupLazyVec(a, bv, bsv, qv);
-        _mm512_storeu_si512(dst + i, csub(r, qv));
-    }
-    if (i < n)
-        scalar::mulShoupVec(dst + i, b + i, b_shoup + i, n - i, q);
-}
-
-void
-mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    if (q >= kFusedMacModulusBound) {
-        scalar::mulAccVec(dst, a, b, n, mod);
-        return;
-    }
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i mh =
-        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i av = _mm512_loadu_si512(a + i);
-        __m512i bv = _mm512_loadu_si512(b + i);
-        __m512i d = _mm512_loadu_si512(dst + i);
-        __m512i p = reduce64(_mm512_mul_epu32(av, bv), mh, qv);
-        _mm512_storeu_si512(dst + i, csub(_mm512_add_epi64(d, p), qv));
-    }
-    if (i < n)
-        scalar::mulAccVec(dst + i, a + i, b + i, n - i, mod);
-}
+using vec::Avx512;
+constexpr u64 kLanes = Avx512::kLanes;
 
 void
 macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
@@ -359,99 +63,6 @@ macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
         scalar::macAccumulate(acc + i, a + i, b + i, n - i);
 }
 
-/** Canonical residues of 8 interleaved accumulators (q < 2^32). */
-inline __m512i
-macReduceBlock(const u64 *mem, __m512i qv, __m512i mh, __m512i r64)
-{
-    __m512i acc0 = _mm512_loadu_si512(mem);
-    __m512i acc1 = _mm512_loadu_si512(mem + 8);
-    const __m512i idx_lo =
-        _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-    const __m512i idx_hi =
-        _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-    __m512i lo = _mm512_permutex2var_epi64(acc0, idx_lo, acc1);
-    __m512i hi = _mm512_permutex2var_epi64(acc0, idx_hi, acc1);
-    __m512i y = _mm512_mul_epu32(hi, r64); // hi < 2^32, R64 < 2^32
-    __m512i s = _mm512_add_epi64(reduce64(lo, mh, qv),
-                                 reduce64(y, mh, qv));
-    return csub(s, qv);
-}
-
-void
-macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    if (q >= kFusedMacModulusBound) {
-        scalar::macReduce(dst, acc, n, mod);
-        return;
-    }
-    const u64 *mem = reinterpret_cast<const u64 *>(acc);
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i mh =
-        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
-    __m512i r64 =
-        _mm512_set1_epi64(static_cast<long long>(mod.pow2_64ModQ()));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        _mm512_storeu_si512(dst + i,
-                            macReduceBlock(mem + 2 * i, qv, mh, r64));
-    }
-    if (i < n)
-        scalar::macReduce(dst + i, acc + i, n - i, mod);
-}
-
-void
-macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    if (q >= kFusedMacModulusBound) {
-        scalar::macReduceAdd(dst, acc, n, mod);
-        return;
-    }
-    const u64 *mem = reinterpret_cast<const u64 *>(acc);
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i mh =
-        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
-    __m512i r64 =
-        _mm512_set1_epi64(static_cast<long long>(mod.pow2_64ModQ()));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i r = macReduceBlock(mem + 2 * i, qv, mh, r64);
-        __m512i d = _mm512_loadu_si512(dst + i);
-        _mm512_storeu_si512(dst + i, csub(_mm512_add_epi64(d, r), qv));
-    }
-    if (i < n)
-        scalar::macReduceAdd(dst + i, acc + i, n - i, mod);
-}
-
-/** 8-lane ops for the shared RowSel lazy MAC loop. */
-struct RowSelLanes
-{
-    static constexpr u64 kLanes = 8;
-    using Reg = __m512i;
-    static Reg load(const u64 *p) { return _mm512_loadu_si512(p); }
-    static void store(u64 *p, Reg v) { _mm512_storeu_si512(p, v); }
-    static Reg mul32(Reg a, Reg b) { return _mm512_mul_epu32(a, b); }
-    static Reg add(Reg a, Reg b) { return _mm512_add_epi64(a, b); }
-};
-
-void
-lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i mh =
-        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i r = reduce64(_mm512_loadu_si512(acc + i), mh, qv);
-        __m512i d = _mm512_loadu_si512(dst + i);
-        _mm512_storeu_si512(dst + i, csub(_mm512_add_epi64(d, r), qv));
-    }
-    if (i < n)
-        scalar::lazyReduceAdd(dst + i, acc + i, n - i, mod);
-}
-
 void
 applyCoeffMap(u64 *dst, const u64 *src, const u64 *map, u64 n, u64 q)
 {
@@ -482,20 +93,20 @@ applyCoeffMap(u64 *dst, const u64 *src, const u64 *map, u64 n, u64 q)
 const Kernels kAvx512Kernels = {
     Isa::Avx512,
     "avx512",
-    &nttForwardLazy,
-    &nttInverseLazy,
-    &addVec,
-    &subVec,
-    &negVec,
-    &mulVec,
-    &mulShoupVec,
-    &canonicalizeVec,
-    &mulAccVec,
+    &vec::nttForwardLazy<Avx512, vec::Shoup64<Avx512>, vec::Avx512Tail>,
+    &vec::nttInverseLazy<Avx512, vec::Shoup64<Avx512>, vec::Avx512Tail>,
+    &vec::addVec<Avx512>,
+    &vec::subVec<Avx512>,
+    &vec::negVec<Avx512>,
+    &vec::mulVec<Avx512>,
+    &vec::mulShoupVec<Avx512>,
+    &vec::canonicalizeVec<Avx512>,
+    &vec::mulAccVec<Avx512>,
     &macAccumulate,
-    &macReduce,
-    &macReduceAdd,
-    &rowsel::mac<RowSelLanes>,
-    &lazyReduceAdd,
+    &vec::macReduce<Avx512, false>,
+    &vec::macReduce<Avx512, true>,
+    &vec::rowSelMac<Avx512>,
+    &vec::lazyReduceAdd<Avx512>,
     &applyCoeffMap,
 };
 

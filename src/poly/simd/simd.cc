@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 namespace ive::simd {
 
@@ -165,6 +166,26 @@ ifmaButterfliesAvailable()
 #else
     return false;
 #endif
+}
+
+const std::vector<const Kernels *> &
+runnableBackends()
+{
+    static const std::vector<const Kernels *> list = [] {
+        std::vector<const Kernels *> out;
+        for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512}) {
+            if (const Kernels *k = resolve(isa))
+                out.push_back(k);
+        }
+#ifdef IVE_SIMD_HAVE_AVX512
+        // resolve() hands out the IFMA-patched table on IFMA hosts;
+        // the generic one still serves q >= 2^50 there, so list both.
+        if (ifmaButterfliesAvailable())
+            out.insert(out.end() - 1, &kAvx512Kernels);
+#endif
+        return out;
+    }();
+    return list;
 }
 
 Isa

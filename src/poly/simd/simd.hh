@@ -30,10 +30,22 @@
  * pass on the wrong backend). The per-ISA implementations live in
  * separate translation units compiled with per-file -m flags, so the
  * binary itself runs on any x86-64 (non-x86 builds get scalar only).
+ *
+ * The vector backends share one loop body per kernel
+ * (vector_kernels.hh): each TU instantiates the templates with its
+ * own lane type (load/store/add/csub/mul primitives on __m256i or
+ * __m512i), and the NTTs additionally take a lazy Shoup product
+ * policy — 2^64 companions on avx2/avx512, 52-bit vpmadd52 ones on
+ * avx512-ifma — and a hook for the sub-register stages (scalar on
+ * avx2, a fused permute tail on AVX-512). What stays per ISA is only
+ * what has no common form: macAccumulate's carries and the AVX-512
+ * scatter in applyCoeffMap.
  */
 
 #ifndef IVE_POLY_SIMD_SIMD_HH
 #define IVE_POLY_SIMD_SIMD_HH
+
+#include <vector>
 
 #include "common/types.hh"
 #include "modmath/modulus.hh"
@@ -209,6 +221,14 @@ struct Kernels
  * the CPU supports AVX-512 IFMA.
  */
 const Kernels *backend(Isa isa);
+
+/**
+ * Every table this CPU and binary can run, narrowest first: scalar,
+ * avx2, the generic 2^64-Shoup avx512 table, and on IFMA hosts also the
+ * avx512-ifma table that backend(Isa::Avx512) returns there. The
+ * differential tests and the per-ISA benchmarks sweep this list.
+ */
+const std::vector<const Kernels *> &runnableBackends();
 
 /** Best ISA this CPU can run among the compiled-in backends. */
 Isa bestSupportedIsa();

@@ -8,10 +8,15 @@
  * strict/non-IFMA fallbacks), unaligned tails, and adversarial values
  * at the q/2q/4q edges of the lazy ranges.
  *
- * The avx512 table is tested as resolved for this CPU: on IFMA parts
- * that covers the 52-bit vpmadd52 butterflies (plus their null-
- * twShoup52 fallback via the >= 2^50 primes); elsewhere the generic
- * 64-bit split path. End-to-end byte-identity per backend is pinned by
+ * The sweep covers simd::runnableBackends(): scalar, avx2, the
+ * generic avx512 table (2^64-Shoup butterflies, run here even on IFMA
+ * parts, where dispatch never picks them for q < 2^50 — the 28-bit IVE
+ * primes among them) and, on IFMA parts, the avx512-ifma table with
+ * its 52-bit vpmadd52 butterflies (plus their null-twShoup52 fallback
+ * via the >= 2^50 primes). The vector tables share one templated body
+ * per kernel (poly/simd/vector_kernels.hh), instantiated per ISA with
+ * lane primitives and, for the NTTs, a Shoup-product policy, so each
+ * table here tests another instantiation of the same loop. End-to-end byte-identity per backend is pinned by
  * scripts/ci.sh, which runs the full tier-1 suite (including
  * test_golden) once under IVE_FORCE_ISA for every backend that probes
  * runnable on the CI machine, plus once on the default dispatch.
@@ -37,19 +42,6 @@ const simd::Kernels &
 scalarK()
 {
     return *simd::backend(simd::Isa::Scalar);
-}
-
-/** Every backend this binary + CPU can run (scalar always). */
-std::vector<const simd::Kernels *>
-allBackends()
-{
-    std::vector<const simd::Kernels *> out;
-    for (simd::Isa isa :
-         {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
-        if (const simd::Kernels *k = simd::backend(isa))
-            out.push_back(k);
-    }
-    return out;
 }
 
 /** Primes covering every dispatch class the kernels distinguish. */
@@ -100,7 +92,7 @@ TEST(Simd, DispatchResolvesToRunnableBackend)
 {
     const simd::Kernels &k = simd::active();
     bool found = false;
-    for (const simd::Kernels *b : allBackends())
+    for (const simd::Kernels *b : simd::runnableBackends())
         found = found || b->name == k.name;
     EXPECT_TRUE(found) << "active backend " << k.name
                        << " not in runnable set";
@@ -109,7 +101,7 @@ TEST(Simd, DispatchResolvesToRunnableBackend)
     // Scalar must always resolve; log the pick for CI visibility.
     ASSERT_NE(simd::backend(simd::Isa::Scalar), nullptr);
     std::printf("active SIMD backend: %s (of %zu runnable)\n", k.name,
-                allBackends().size());
+                simd::runnableBackends().size());
 }
 
 TEST(Simd, NttMatchesStrictAcrossBackendsDegreesAndPrimes)
@@ -121,7 +113,7 @@ TEST(Simd, NttMatchesStrictAcrossBackendsDegreesAndPrimes)
             for (auto &input : cornerInputs(n, q, rng)) {
                 std::vector<u64> want = input;
                 table.forwardStrict(want);
-                for (const simd::Kernels *b : allBackends()) {
+                for (const simd::Kernels *b : simd::runnableBackends()) {
                     std::vector<u64> got = input;
                     b->nttForwardLazy(got.data(), n, table.modulus(),
                                       table.forwardTwiddles());
@@ -170,7 +162,7 @@ TEST(Simd, VectorOpsMatchScalarWithUnalignedTails)
                 c0[i] = rng.uniform(4 * q);
             c0[0] = 4 * q - 1;
 
-            for (const simd::Kernels *b : allBackends()) {
+            for (const simd::Kernels *b : simd::runnableBackends()) {
                 auto diff = [&](auto &&op) {
                     std::vector<u64> got = a0, want = a0;
                     op(*b, got.data() + 1);
@@ -242,7 +234,7 @@ TEST(Simd, MacAccumulateMatchesScalarWithCarryCorners)
                 break;
             }
         }
-        for (const simd::Kernels *k : allBackends()) {
+        for (const simd::Kernels *k : simd::runnableBackends()) {
             std::vector<u128> got = base, want = base;
             k->macAccumulate(got.data(), a.data(), b.data(), n);
             scalarK().macAccumulate(want.data(), a.data(),
@@ -269,7 +261,7 @@ TEST(Simd, MacReduceMatchesScalarAcrossPrimeClasses)
                 acc[i] = (static_cast<u128>(hi) << 64) | lo;
             }
             std::vector<u64> dst0 = randomCanonical(n, q, rng);
-            for (const simd::Kernels *k : allBackends()) {
+            for (const simd::Kernels *k : simd::runnableBackends()) {
                 std::vector<u64> got(n), want(n);
                 k->macReduce(got.data(), acc.data(), n, mod);
                 scalarK().macReduce(want.data(), acc.data(),
@@ -361,7 +353,8 @@ TEST(Simd, RowSelMacMatchesScalarAcrossPrimesTailsAndLimit)
                                       mod.add(base[j], mod.reduce(want[j])))
                                 << where << " j=" << j;
 
-                        for (const simd::Kernels *k : allBackends()) {
+                        for (const simd::Kernels *k :
+                             simd::runnableBackends()) {
                             std::vector<u64> got(2 * cols * n, ~u64{0});
                             k->rowSelMac(got.data(), run, n, mod);
                             ASSERT_EQ(got, want) << k->name << " " << where;
@@ -392,7 +385,7 @@ TEST(Simd, ApplyCoeffMapMatchesScalarForRotationsAndMonomials)
                 std::vector<u64> want(n, ~u64{0});
                 scalarK().applyCoeffMap(
                     want.data(), src.data(), map.data(), n, q);
-                for (const simd::Kernels *k : allBackends()) {
+                for (const simd::Kernels *k : simd::runnableBackends()) {
                     std::vector<u64> got(n, ~u64{0});
                     k->applyCoeffMap(got.data(), src.data(), map.data(),
                                      n, q);
@@ -422,7 +415,7 @@ TEST(Simd, LazyRangeCornersThroughFullTransforms)
             for (auto &input : cases) {
                 std::vector<u64> want = input;
                 table.forwardStrict(want);
-                for (const simd::Kernels *b : allBackends()) {
+                for (const simd::Kernels *b : simd::runnableBackends()) {
                     std::vector<u64> got = input;
                     b->nttForwardLazy(got.data(), n, table.modulus(),
                                       table.forwardTwiddles());
