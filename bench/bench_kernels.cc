@@ -125,50 +125,6 @@ BM_NttInverseStrict(benchmark::State &state)
 BENCHMARK(BM_NttInverseStrict);
 
 static void
-BM_MacChainFused(benchmark::State &state)
-{
-    // A D0 = 64-long RowSel-style MAC chain over one residue plane:
-    // u128 accumulation with one deferred Barrett pass.
-    auto &f = fixture();
-    const Ring &ring = f.ctx.ring();
-    const Modulus &mod = ring.base.modulus(0);
-    std::span<const u64> a = f.dbEntry.residues(0);
-    std::span<const u64> b = f.ct.a.residues(0);
-    std::vector<u128> acc(ring.n);
-    std::vector<u64> out(ring.n);
-    for (auto _ : state) {
-        std::fill(acc.begin(), acc.end(), u128{0});
-        for (int c = 0; c < 64; ++c)
-            kernels::macAccumulate(acc.data(), a.data(), b.data(),
-                                   ring.n);
-        kernels::macReduce(out.data(), acc.data(), ring.n, mod);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 64 * ring.n);
-}
-BENCHMARK(BM_MacChainFused);
-
-static void
-BM_MacChainStrict(benchmark::State &state)
-{
-    auto &f = fixture();
-    const Ring &ring = f.ctx.ring();
-    const Modulus &mod = ring.base.modulus(0);
-    std::span<const u64> a = f.dbEntry.residues(0);
-    std::span<const u64> b = f.ct.a.residues(0);
-    std::vector<u64> out(ring.n);
-    for (auto _ : state) {
-        std::fill(out.begin(), out.end(), 0);
-        for (int c = 0; c < 64; ++c)
-            kernels::mulAccVec(out.data(), a.data(), b.data(), ring.n,
-                               mod);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 64 * ring.n);
-}
-BENCHMARK(BM_MacChainStrict);
-
-static void
 BM_NttForward(benchmark::State &state)
 {
     auto &f = fixture();
@@ -278,6 +234,27 @@ BM_RowSelMac(benchmark::State &state)
 BENCHMARK(BM_RowSelMac);
 
 static void
+BM_ApplyCoeffMap(benchmark::State &state)
+{
+    // The automorphism permutation (scalar under every backend).
+    auto &f = fixture();
+    const Ring &ring = f.ctx.ring();
+    const u64 q = ring.base.modulus(0).value();
+    std::vector<u64> map(ring.n);
+    RnsPoly::automorphismMap(ring.n, ring.n / 2 + 1, map);
+    std::vector<u64> src(f.dbEntry.residues(0).begin(),
+                         f.dbEntry.residues(0).end());
+    std::vector<u64> dst(ring.n);
+    for (auto _ : state) {
+        kernels::applyCoeffMapVec(dst.data(), src.data(), map.data(),
+                                  ring.n, q);
+        benchmark::DoNotOptimize(dst.data());
+    }
+    state.SetItemsProcessed(state.iterations() * ring.n);
+}
+BENCHMARK(BM_ApplyCoeffMap);
+
+static void
 BM_ExternalProduct(benchmark::State &state)
 {
     auto &f = fixture();
@@ -384,24 +361,70 @@ isaNttInverse(benchmark::State &state, const simd::Kernels *k)
     }
 }
 
-void
-isaMacChain(benchmark::State &state, const simd::Kernels *k)
+/**
+ * A gadget MAC chain over every prime of the fixture ring, as Subs'
+ * key switch (9 links) or the external product (16 links) runs it:
+ * random canonical digit and key-row planes, onto a zero addend, one
+ * kernels::macChain per prime.
+ */
+struct GadgetChain
 {
-    auto &f = fixture();
-    const Ring &ring = f.ctx.ring();
-    const Modulus &mod = ring.base.modulus(0);
-    std::span<const u64> a = f.dbEntry.residues(0);
-    std::span<const u64> b = f.ct.a.residues(0);
-    std::vector<u128> acc(ring.n);
-    std::vector<u64> out(ring.n);
-    for (auto _ : state) {
-        std::fill(acc.begin(), acc.end(), u128{0});
-        for (int c = 0; c < 64; ++c)
-            k->macAccumulate(acc.data(), a.data(), b.data(), ring.n);
-        k->macReduce(out.data(), acc.data(), ring.n, mod);
-        benchmark::DoNotOptimize(out.data());
+    explicit GadgetChain(u64 links) : links(links)
+    {
+        const Ring &ring = fixture().ctx.ring();
+        Rng rng(23 + links);
+        for (int p = 0; p < ring.k(); ++p) {
+            const u64 q = ring.base.modulus(p).value();
+            for (u64 i = 0; i < 3 * links; ++i) {
+                planes.emplace_back(ring.n);
+                for (u64 &c : planes.back())
+                    c = rng.uniform(q);
+                ptrs.push_back(planes.back().data());
+            }
+        }
     }
-    state.SetItemsProcessed(state.iterations() * 64 * ring.n);
+
+    void
+    run(benchmark::State &state, const simd::Kernels &k) const
+    {
+        const Ring &ring = fixture().ctx.ring();
+        const u64 n = ring.n;
+        std::vector<u64> out(2 * ring.words()), lazy(2 * n);
+        for (auto _ : state) {
+            std::fill(out.begin(), out.end(), 0);
+            for (u64 p = 0; p < static_cast<u64>(ring.k()); ++p) {
+                const u64 *const *db = ptrs.data() + 3 * links * p;
+                u64 *const sides[2] = {out.data() + 2 * n * p,
+                                       out.data() + 2 * n * p + n};
+                kernels::macChain(sides,
+                                  {db, db + links, db + 2 * links, links, 1},
+                                  n, ring.base.modulus(static_cast<int>(p)),
+                                  lazy.data(), k);
+            }
+            benchmark::DoNotOptimize(out.data());
+            benchmark::ClobberMemory();
+        }
+        state.SetItemsProcessed(state.iterations() * 2 * links *
+                                ring.words());
+    }
+
+    u64 links;
+    std::vector<std::vector<u64>> planes;
+    std::vector<const u64 *> ptrs;
+};
+
+void
+isaMacChainKs(benchmark::State &state, const simd::Kernels *k)
+{
+    static const GadgetChain chain(9);
+    chain.run(state, *k);
+}
+
+void
+isaMacChainXp(benchmark::State &state, const simd::Kernels *k)
+{
+    static const GadgetChain chain(16);
+    chain.run(state, *k);
 }
 
 void
@@ -410,36 +433,16 @@ isaRowSelMac(benchmark::State &state, const simd::Kernels *k)
     rowSelChain().run(state, *k);
 }
 
-void
-isaApplyCoeffMap(benchmark::State &state, const simd::Kernels *k)
-{
-    auto &f = fixture();
-    const Ring &ring = f.ctx.ring();
-    const u64 q = ring.base.modulus(0).value();
-    std::vector<u64> map(ring.n);
-    RnsPoly::automorphismMap(ring.n, ring.n / 2 + 1, map);
-    std::vector<u64> src(f.dbEntry.residues(0).begin(),
-                         f.dbEntry.residues(0).end());
-    std::vector<u64> dst(ring.n);
-    for (auto _ : state) {
-        k->applyCoeffMap(dst.data(), src.data(), map.data(), ring.n, q);
-        benchmark::DoNotOptimize(dst.data());
-    }
-    state.SetItemsProcessed(state.iterations() * ring.n);
-}
-
 /**
  * Operands of the element-wise kernels over the fixture ring's first
- * prime: random canonical planes b (with its x2^64 Shoup companions),
- * lazy u64 chain sums and u128 accumulators inside the macReduce
- * contract (acc >> 64 < 2^32).
+ * prime: random canonical planes b (with its x2^64 Shoup companions)
+ * and lazy u64 chain sums.
  */
 struct VecOperands
 {
     VecOperands()
         : mod(fixture().ctx.ring().base.modulus(0)),
-          n(fixture().ctx.ring().n), a(n), b(n), bShoup(n), acc64(n),
-          acc128(n)
+          n(fixture().ctx.ring().n), a(n), b(n), bShoup(n), acc64(n)
     {
         const u64 q = mod.value();
         Rng rng(19);
@@ -448,16 +451,12 @@ struct VecOperands
             b[i] = rng.uniform(q);
             bShoup[i] = mod.shoupPrecompute(b[i]);
             acc64[i] = rng.uniform(~u64{0});
-            acc128[i] = (static_cast<u128>(rng.uniform(u64{1} << 32))
-                         << 64) |
-                        rng.uniform(~u64{0});
         }
     }
 
     Modulus mod;
     u64 n;
     std::vector<u64> a, b, bShoup, acc64;
-    std::vector<u128> acc128;
 };
 
 const VecOperands &
@@ -522,20 +521,17 @@ registerIsaBenches()
         registerVecBench("MulAccVec", k, [](const K &t, const O &v, u64 *d) {
             t.mulAccVec(d, v.a.data(), v.b.data(), v.n, v.mod);
         });
-        registerVecBench("MacReduce", k, [](const K &t, const O &v, u64 *d) {
-            t.macReduce(d, v.acc128.data(), v.n, v.mod);
-        });
-        registerVecBench(
-            "MacReduceAdd", k, [](const K &t, const O &v, u64 *d) {
-                t.macReduceAdd(d, v.acc128.data(), v.n, v.mod);
-            });
         registerVecBench(
             "LazyReduceAdd", k, [](const K &t, const O &v, u64 *d) {
                 t.lazyReduceAdd(d, v.acc64.data(), v.n, v.mod);
             });
-        registerIsaBench("MacChain", k, &isaMacChain);
         registerIsaBench("RowSelMac", k, &isaRowSelMac);
-        registerIsaBench("ApplyCoeffMap", k, &isaApplyCoeffMap);
+        benchmark::RegisterBenchmark(
+            (std::string("BM_MacChain/ks9/") + k->name).c_str(),
+            &isaMacChainKs, k);
+        benchmark::RegisterBenchmark(
+            (std::string("BM_MacChain/xp16/") + k->name).c_str(),
+            &isaMacChainXp, k);
     }
     return 0;
 }

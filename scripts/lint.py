@@ -54,6 +54,13 @@ Rules (each line reports as ``path:line: [rule] message``):
                       the instance's stats and the registry. Atomic
                       flags (atomic<bool>) and the layers below
                       (src/obs, src/common) are not flagged.
+  u128-acc            The polynomial, BFV and PIR layers (src/poly,
+                      src/bfv, src/pir) run every multiply-accumulate
+                      through kernels::macChain's u64 lazy chain. A
+                      ``u128 *`` buffer or an AlignedU128Vec there is a
+                      second accumulator beside it. Scalar u128 values
+                      (iCRT, Barrett products) and the RNS layer's
+                      std::vector<u128> constants are not flagged.
 
 Escape hatch: a finding is suppressed when the flagged line, or the
 line directly above it, carries
@@ -119,12 +126,16 @@ SERVING_DIRS = ("src/pir/", "src/shard/", "src/net/", "src/common/",
 TALLY_DIRS = ("src/pir/", "src/shard/", "src/net/")
 RAW_TALLY_RE = re.compile(
     r"(?<![A-Za-z0-9_])atomic\s*<\s*(?:u64|i64)\s*>")
+U128_ACC_DIRS = ("src/poly/", "src/bfv/", "src/pir/")
+U128_ACC_RE = re.compile(
+    r"(?<![A-Za-z0-9_])u128\s*(?:const\s*)?\*"
+    r"|(?<![A-Za-z0-9_])AlignedU128Vec(?![A-Za-z0-9_])")
 INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
 LAYERING_RE = re.compile(r"#\s*include\s*[<\"](?:sim|system|model)/")
 GUARD_IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(IVE_\w+_HH)\s*$", re.M)
 GUARD_DEFINE_RE = re.compile(r"^\s*#\s*define\s+(IVE_\w+_HH)\s*$", re.M)
 
-ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)(?:\s*--\s*(\S.*))?")
+ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z0-9-]+)\)(?:\s*--\s*(\S.*))?")
 
 ALL_RULES = (
     "raw-assert",
@@ -137,6 +148,7 @@ ALL_RULES = (
     "raw-socket",
     "layering",
     "raw-tally",
+    "u128-acc",
 )
 
 
@@ -285,6 +297,12 @@ def lint_file(f: Findings, root: Path, path: Path) -> None:
                 RAW_TALLY_RE,
                 "raw atomic tally in a serving library; use an "
                 "obs::Counter / obs::Gauge linked to its process series")
+        if rel.startswith(U128_ACC_DIRS):
+            check_line_rule(
+                f, rel, raw_lines, code_lines, idx, "u128-acc",
+                U128_ACC_RE,
+                "u128 accumulator buffer; multiply-accumulate through "
+                "kernels::macChain's u64 lazy chain")
         if rel in HOT_PATH_FILES:
             check_line_rule(
                 f, rel, raw_lines, code_lines, idx, "hot-path-alloc",
@@ -451,6 +469,22 @@ def self_test() -> int:
         ("src/obs/metrics.cc", "std::atomic<u64> v_{0};\n", None),
         ("src/common/x.cc", "std::atomic<u64> hits_{0};\n", None),
         ("tests/t.cc", "std::atomic<u64> served{0};\n", None),
+        # One MAC accumulator: no u128 buffers in poly/bfv/pir.
+        ("src/poly/x.hh", "void f(u128 *acc, u64 n);\n", "u128-acc"),
+        ("src/bfv/x.cc", "const u128* acc = lease.data();\n",
+         "u128-acc"),
+        ("src/pir/x.cc", "u128 const *acc = p;\n", "u128-acc"),
+        ("src/poly/x.cc", "AlignedU128Vec acc(n);\n", "u128-acc"),
+        ("src/poly/x.cc", "u128 x = static_cast<u128>(a) * b;\n", None),
+        ("src/bfv/x.cc", "u128 v = ring.base.fromRns(res);\n", None),
+        ("src/pir/x.cc", "// a u128 *acc in prose\n", None),
+        ("src/rns/rns_base.cc", "std::vector<u128> qHat_;\n", None),
+        ("src/poly/x.cc", "std::vector<u128> ref(n);\n", None),
+        ("src/rns/x.cc", "void f(u128 *scratch);\n", None),
+        ("tests/t.cc", "std::vector<u128> acc(n); u128 *p;\n", None),
+        ("src/poly/x.cc",
+         "// lint: allow(u128-acc) -- wide reference sums in a test hook\n"
+         "u128 *ref = buf;\n", None),
     ]
 
     failures = 0

@@ -43,8 +43,8 @@ BfvCiphertext subs(const HeContext &ctx, const BfvCiphertext &ct,
  * Subs into a caller-owned ciphertext (`out` fully overwritten; polys
  * must have the ring's shape; must not alias `ct`). All temporaries —
  * coefficient copies, the rotation map, gadget digits, key-switch MAC
- * accumulators — come from `ws`; the ellKs-row key-switch sums reduce
- * lazily like the external product.
+ * accumulators — come from `ws`; the ellKs-row key-switch sums run on
+ * the external product's lazy MAC chain (gadgetMacInto).
  */
 void subsInto(const HeContext &ctx, const BfvCiphertext &ct,
               const EvkKey &evk, BfvCiphertext &out, PolyWorkspace &ws);

@@ -90,6 +90,38 @@ decomposePolyInto(const HeContext &ctx, const Gadget &gadget,
         PolyWorkspace::retag(d, Domain::Ntt);
 }
 
+void
+gadgetMacInto(const Ring &ring, std::span<const RnsPoly> digits,
+              std::span<const BfvCiphertext> rows, BfvCiphertext &out,
+              PolyWorkspace &ws)
+{
+    ive_assert(digits.size() == rows.size());
+    const u64 n = ring.n;
+    const u64 links = digits.size();
+    // Per plane: a side then b side, raw u64 sums of one chain chunk.
+    WordLease lazy(ws, 2 * ring.words());
+    // Per-plane tasks: each plane's chains are independent and exact,
+    // so outputs are byte-identical at any thread count.
+    parallelFor(0, static_cast<u64>(ring.k()), [&](u64 t) {
+        const int p = static_cast<int>(t);
+        // Pointer scratch, per thread and reused across calls.
+        thread_local std::vector<const u64 *> ptrs;
+        ptrs.resize(3 * links);
+        const u64 **db = ptrs.data();
+        const u64 **la = db + links;
+        const u64 **lb = la + links;
+        for (u64 j = 0; j < links; ++j) {
+            db[j] = digits[j].residues(p).data();
+            la[j] = rows[j].a.residues(p).data();
+            lb[j] = rows[j].b.residues(p).data();
+        }
+        u64 *const sides[2] = {out.a.residues(p).data(),
+                               out.b.residues(p).data()};
+        kernels::macChain(sides, {db, la, lb, links, 1}, n,
+                          ring.base.modulus(p), lazy.data() + t * 2 * n);
+    });
+}
+
 namespace {
 
 /** Adds m*z^k (m given in NTT form) to one polynomial of a row. */
@@ -168,9 +200,7 @@ externalProductInto(const HeContext &ctx, const RgswCiphertext &rgsw,
     ive_assert(out.a.isNtt() && out.b.isNtt());
     ive_assert(out.a.n() == ring.n && out.a.k() == ring.k());
 
-    const u64 n = ring.n;
     const int nk = ring.k();
-    const u64 words = ring.words();
 
     PolyLease a_coeff(ws, ring, Domain::Coeff);
     PolyLease b_coeff(ws, ring, Domain::Coeff);
@@ -192,52 +222,18 @@ externalProductInto(const HeContext &ctx, const RgswCiphertext &rgsw,
     }
 
     // Phase 2: the two gadget decompositions (internally parallel over
-    // coefficient chunks and (digit, plane) transforms).
-    PolyVecLease da(ws, ring, Domain::Coeff, ell);
-    PolyVecLease db(ws, ring, Domain::Coeff, ell);
-    decomposePolyInto(ctx, gadget, *a_coeff, *da, ws);
-    decomposePolyInto(ctx, gadget, *b_coeff, *db, ws);
+    // coefficient chunks and (digit, plane) transforms): digits 0..l-1
+    // of a, then l..2l-1 of b, in the order of the RGSW rows.
+    PolyVecLease digits(ws, ring, Domain::Coeff, 2 * static_cast<u64>(ell));
+    std::span<RnsPoly> all(*digits);
+    decomposePolyInto(ctx, gadget, *a_coeff, all.first(ell), ws);
+    decomposePolyInto(ctx, gadget, *b_coeff, all.subspan(ell), ws);
 
-    // Phase 3: the 2x2l matrix-vector product — per-plane tasks, each
-    // running both sides' MAC chains for its plane in the exact serial
-    // per-plane link order (k ascending; da into a and b, then db into
-    // a and b), with the fused/strict dispatch centralized in
-    // kernels::chainMac*. One task per plane (not per side) keeps each
-    // digit plane cache-hot across its two uses, matching the serial
-    // code's memory traffic; outputs are byte-identical at any thread
-    // count because the per-accumulator order never changes.
-    AccLease acc(ws, 2 * words);
-    u128 *acc_base = acc.data();
-    parallelFor(0, static_cast<u64>(nk), [&](u64 t) {
-        int p = static_cast<int>(t);
-        const Modulus &mod = ring.base.modulus(p);
-        u64 *oa = out.a.residues(p).data();
-        u64 *ob = out.b.residues(p).data();
-        u128 *aa = acc_base + static_cast<u64>(p) * n;
-        u128 *ab = acc_base + words + static_cast<u64>(p) * n;
-        kernels::chainMacBegin(mod, n, oa);
-        kernels::chainMacBegin(mod, n, ob);
-        for (int k = 0; k < ell; ++k) {
-            const u64 *pa =
-                da[static_cast<size_t>(k)].residues(p).data();
-            const u64 *pb =
-                db[static_cast<size_t>(k)].residues(p).data();
-            const BfvCiphertext &row_a =
-                rgsw.rows[static_cast<size_t>(k)];
-            const BfvCiphertext &row_b =
-                rgsw.rows[static_cast<size_t>(ell + k)];
-            kernels::chainMacAcc(mod, n, aa, oa, pa,
-                                 row_a.a.residues(p).data());
-            kernels::chainMacAcc(mod, n, ab, ob, pa,
-                                 row_a.b.residues(p).data());
-            kernels::chainMacAcc(mod, n, aa, oa, pb,
-                                 row_b.a.residues(p).data());
-            kernels::chainMacAcc(mod, n, ab, ob, pb,
-                                 row_b.b.residues(p).data());
-        }
-        kernels::chainMacFinish(mod, n, aa, oa, false);
-        kernels::chainMacFinish(mod, n, ab, ob, false);
-    });
+    // Phase 3: the 2x2l matrix-vector product, one 2l-link chain per
+    // plane.
+    out.a.setZero();
+    out.b.setZero();
+    gadgetMacInto(ring, all, rgsw.rows, out, ws);
 }
 
 void

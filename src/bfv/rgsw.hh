@@ -51,6 +51,19 @@ void decomposePolyInto(const HeContext &ctx, const Gadget &gadget,
                        const RnsPoly &poly_coeff,
                        std::span<RnsPoly> digits, PolyWorkspace &ws);
 
+/**
+ * The gadget matrix-vector product shared by Subs' key switch and the
+ * external product, on NTT-form polys: out.a += sum_j digits[j] o
+ * rows[j].a and out.b += sum_j digits[j] o rows[j].b, mod q. One
+ * kernels::macChain per residue plane, the planes in parallel; each
+ * digit plane is loaded once for both sides. Callers choose the addend
+ * in `out` (zeros, or Subs' sigma_r(b)); the u64 lazy accumulators come
+ * from `ws`.
+ */
+void gadgetMacInto(const Ring &ring, std::span<const RnsPoly> digits,
+                   std::span<const BfvCiphertext> rows, BfvCiphertext &out,
+                   PolyWorkspace &ws);
+
 /** RGSW encryption of the constant m (0 or 1 for ColTor select bits). */
 RgswCiphertext encryptRgswConst(const HeContext &ctx, const SecretKey &sk,
                                 Rng &rng, u64 m);
@@ -68,10 +81,10 @@ BfvCiphertext externalProduct(const HeContext &ctx,
  * External product into a caller-owned ciphertext (`out` fully
  * overwritten; its polys must already have the ring's shape and NTT
  * tag; must not alias `ct`). All temporaries — iNTT copies, gadget
- * digits, MAC accumulators — come from `ws`, and the 2l-row sums
- * defer reduction across the whole chain (one Barrett per output word
- * for <= 32-bit primes), so a steady-state call performs no heap
- * allocation and far fewer reductions than the legacy wrapper did.
+ * digits, MAC accumulators — come from `ws`, and the 2l-row sums run
+ * as one u64 lazy chain per plane (gadgetMacInto: one Barrett per
+ * output word for < 2^32 primes), so a steady-state call performs no
+ * heap allocation and far fewer reductions than per-product MACs.
  */
 void externalProductInto(const HeContext &ctx, const RgswCiphertext &rgsw,
                          const BfvCiphertext &ct, BfvCiphertext &out,

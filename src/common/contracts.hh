@@ -4,9 +4,9 @@
  *
  * The lazy NTT/MAC redesign (PR 4/5) made correctness hang on value
  * ranges that normal tests cannot see: forward-NTT intermediates must
- * stay in [0, 4q), inverse in [0, 2q), fused-MAC accumulators must
- * keep their high word below 2^32 before the deferred Barrett
- * reduction, and Shoup multiplicands must be canonical. A violated
+ * stay in [0, 4q), inverse in [0, 2q), a u64 lazy MAC chain must end
+ * (be reduced) within floor((2^64-1)/(q-1)^2) links, and Shoup
+ * multiplicands must be canonical. A violated
  * bound does not crash — it silently wraps and produces a wrong (and
  * often still-decryptable) result.
  *

@@ -307,63 +307,39 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
     const u64 d0 = params_.d0;
 
     // Column c's chain is the D0 products entry(c, i) o leaf_i, per side
-    // and prime. Fused primes (q < 2^32) sum canonical products as raw
-    // u64 lanes and reduce every lazyChainLimit(q) links — never, for
-    // the 27-bit IVE primes and D0 <= 256; strict primes
-    // multiply-accumulate canonically. Integer sums are exact, so
-    // however a chain is grouped, split or chunked the output equals
-    // the unsplit chain bit for bit, at any thread count.
+    // and prime, run by kernels::macChain: fused primes (q < 2^32) sum
+    // canonical products as raw u64 lanes and reduce every
+    // lazyChainLimit(q) links — never, for the 27-bit IVE primes and
+    // D0 <= 256; strict primes multiply-accumulate canonically. Integer
+    // sums are exact, so however a chain is grouped, split or chunked
+    // the output equals the unsplit chain bit for bit, at any thread
+    // count.
     //
     // macRows runs rows [from, to) of columns [c0, c0 + nc), nc <= 2,
-    // for one prime. The kernel writes raw sums into `lazy` (2 * nc
-    // planes of n words, per column a side then b). With out == nullptr
-    // they stay there (a fused prime whose chain fits its limit: the
-    // caller merges and reduces); otherwise each chunk is reduced onto
-    // the canonical planes out[2c + side].
+    // for one prime: onto the canonical planes out[2c + side], or, with
+    // out == nullptr (a fused prime whose chain fits its limit: the
+    // caller merges and reduces), as raw sums in `lazy` (2 * nc planes
+    // of n words, per column a side then b).
     auto macRows = [&](int p, u64 c0, u64 nc, u64 from, u64 to, u64 *lazy,
                        u64 *const *out) {
-        const Modulus &mod = ring.base.modulus(p);
-        auto entry = [&](u64 c, u64 i) {
-            return db_->entry(first + (c0 + c) * d0 + i, plane)
-                .residues(p)
-                .data();
-        };
-        if (!kernels::fusedMacOk(mod)) {
-            for (u64 i = from; i < to; ++i) {
-                for (u64 c = 0; c < nc; ++c) {
-                    kernels::mulAccVec(out[2 * c], entry(c, i),
-                                       leaves[i].a.residues(p).data(), n,
-                                       mod);
-                    kernels::mulAccVec(out[2 * c + 1], entry(c, i),
-                                       leaves[i].b.residues(p).data(), n,
-                                       mod);
-                }
-            }
-            return;
-        }
-        const u64 limit = kernels::lazyChainLimit(mod.value());
-        ive_assert(out != nullptr || to - from <= limit);
+        const u64 links = to - from;
         // Pointer scratch, per thread and reused across calls.
         thread_local std::vector<const u64 *> ptrs;
-        ptrs.resize((nc + 2) * std::min(limit, to - from));
-        for (u64 lo = from; lo < to;) {
-            const u64 links = std::min(limit, to - lo);
-            const u64 **db = ptrs.data();
-            const u64 **la = db + nc * links;
-            const u64 **lb = la + links;
-            for (u64 i = 0; i < links; ++i) {
-                for (u64 c = 0; c < nc; ++c)
-                    db[i * nc + c] = entry(c, lo + i);
-                la[i] = leaves[lo + i].a.residues(p).data();
-                lb[i] = leaves[lo + i].b.residues(p).data();
-            }
-            kernels::rowSelMac(lazy, {db, la, lb, links, nc}, n, mod);
-            if (out != nullptr) {
-                for (u64 k = 0; k < 2 * nc; ++k)
-                    kernels::lazyReduceAdd(out[k], lazy + k * n, n, mod);
-            }
-            lo += links;
+        ptrs.resize((nc + 2) * links);
+        const u64 **db = ptrs.data();
+        const u64 **la = db + nc * links;
+        const u64 **lb = la + links;
+        for (u64 i = 0; i < links; ++i) {
+            for (u64 c = 0; c < nc; ++c)
+                db[i * nc + c] =
+                    db_->entry(first + (c0 + c) * d0 + from + i, plane)
+                        .residues(p)
+                        .data();
+            la[i] = leaves[from + i].a.residues(p).data();
+            lb[i] = leaves[from + i].b.residues(p).data();
         }
+        kernels::macChain(out, {db, la, lb, links, nc}, n,
+                          ring.base.modulus(p), lazy);
     };
 
     // When whole columns cannot fill the lanes (shard slices, small d),

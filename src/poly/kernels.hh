@@ -18,21 +18,15 @@
  *    [0, q) once, in a single final pass, instead of per butterfly.
  *    Dispatched via NttTable::forward/inverse, not this header.
  *
- *  - Fused dyadic multiply-accumulate: when q < 2^32 each product of
- *    canonical residues fits in 64 bits, so Barrett reduction is paid
- *    once per output word per *chain*, not per product. Two chain
- *    shapes share that bound:
- *      - RowSel's D0-long columns sum products as raw u64 lanes (one
- *        vpmuludq + vpaddq each, no carries), which is exact for
- *        lazyChainLimit(q) = floor((2^64-1)/(q-1)^2) links — about 960
- *        for the 27-bit IVE primes, so shipped D0 <= 256 chains reduce
- *        once at the end; other primes reduce every lazyChainLimit(q)
- *        links.
- *      - The external product's 2l-row sums and Subs' key-switch sums
- *        keep u128 accumulators, which absorb up to 2^32 terms (the
- *        vector backends fold the high word with a 2^64 mod q
- *        multiply, which caps the chain length).
- *    Larger test primes fall back to the strict per-product kernels.
+ *  - One multiply-accumulate chain (macChain) for Subs' key switch,
+ *    the external product and RowSel: when q < 2^32 each product of
+ *    canonical residues fits in 64 bits, so the chain sums products as
+ *    raw u64 lanes (one vpmuludq + vpaddq each, no carries) and pays
+ *    one Barrett reduction per output word per lazyChainLimit(q) =
+ *    floor((2^64-1)/(q-1)^2) links — about 960 for the 27-bit IVE
+ *    primes, so the 9-link key-switch, 16-link external-product and
+ *    D0 <= 256 RowSel chains reduce once, at the end. Primes >= 2^32
+ *    (large test primes) take the strict per-product kernel.
  *
  * The strict NTT reference transforms are kept inline here for
  * differential tests and before/after microbenchmarks; they are not
@@ -48,6 +42,7 @@
 #include <span>
 
 #include "common/contracts.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "modmath/modulus.hh"
 #include "modmath/primes.hh"
@@ -199,48 +194,21 @@ mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n, const Modulus &mod)
 inline void
 applyCoeffMapVec(u64 *dst, const u64 *src, const u64 *map, u64 n, u64 q)
 {
-    simd::active().applyCoeffMap(dst, src, map, n, q);
+    simd::scalar::applyCoeffMap(dst, src, map, n, q);
 }
 
-// --- fused lazy multiply-accumulate ----------------------------------
+// --- the MAC chain ---------------------------------------------------
 
 /**
- * True when canonical products fit 64 bits, so a u128 accumulator can
- * absorb any chain this codebase produces with a single deferred
- * Barrett reduction per output word.
+ * True when canonical products fit 64 bits (q < 2^32), so a MAC chain
+ * sums them as raw u64 lanes and reduces once per lazyChainLimit(q)
+ * links instead of once per product.
  */
 inline bool
 fusedMacOk(const Modulus &mod)
 {
     return mod.value() < simd::kFusedMacModulusBound;
 }
-
-/**
- * acc[i] += a[i] * b[i] as raw u128 sums (no reduction). Inputs must
- * be < 2^32 (the fused-MAC policy only engages below 32-bit moduli);
- * the vector backends compute single-instruction 32x32 products.
- */
-inline void
-macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
-{
-    simd::active().macAccumulate(acc, a, b, n);
-}
-
-/** dst[i] = acc[i] mod q: the single deferred reduction of a chain. */
-inline void
-macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    simd::active().macReduce(dst, acc, n, mod);
-}
-
-/** dst[i] = dst[i] + (acc[i] mod q) mod q. */
-inline void
-macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    simd::active().macReduceAdd(dst, acc, n, mod);
-}
-
-// --- RowSel u64 lazy MAC chains --------------------------------------
 
 /**
  * Longest u64 lazy chain for modulus q: each product of canonical
@@ -256,8 +224,9 @@ lazyChainLimit(u64 q)
     return (m >> 32) ? 0 : ~u64{0} / (m * m);
 }
 
-// The shipped D0 <= 256 RowSel chains need no mid-chain reduction
-// under any IVE prime.
+// The shipped D0 <= 256 RowSel chains, the 2l = 16 external-product
+// chains and the l_ks = 9 key-switch chains need no mid-chain
+// reduction under any IVE prime.
 static_assert(lazyChainLimit(kIvePrimes[3]) >= 256,
               "IVE primes must admit a 256-link lazy chain");
 static_assert(lazyChainLimit(simd::kFusedMacModulusBound - 1) >= 1,
@@ -283,14 +252,64 @@ auditLazyChain(u64 links, const Modulus &mod)
 #endif
 }
 
-/** One lazy chain segment; see simd::Kernels::rowSelMac. */
+/**
+ * One prime's multiply-accumulate chain: the single MAC path of Subs'
+ * key switch (db = the l_ks digit planes, leafA / leafB = the key
+ * rows), the external product (2l digits against the 2l RGSW rows) and
+ * RowSel (D0 database entries of one or two columns against the
+ * leaves). For each column c it adds
+ *
+ *   sum over links i of db[i * cols + c] o leafA[i]  onto out[2c]
+ *   sum over links i of db[i * cols + c] o leafB[i]  onto out[2c + 1]
+ *
+ * mod q; out holds canonical planes, so callers choose the addend
+ * (zeros, or Subs' sigma_r(b)). Fused primes (q < 2^32) run rowSelMac
+ * over chunks of at most lazyChainLimit(q) links into `lazy` (2 * cols
+ * planes of n words) and lazyReduceAdd each chunk onto out; strict
+ * primes mulAccVec every link straight onto out. Integer sums are
+ * exact, so the output does not depend on the chunking.
+ *
+ * With out == nullptr (fused primes only) the raw sums stay in `lazy`:
+ * RowSel's segment partials, merged raw by the caller. The run is then
+ * one chunk and must fit lazyChainLimit(q), audited in checked builds.
+ * `k` picks the table (the active one unless a test or benchmark
+ * sweeps them).
+ */
 inline void
-rowSelMac(u64 *acc, const simd::RowSelRun &run, u64 n, const Modulus &mod)
+macChain(u64 *const *out, const simd::RowSelRun &run, u64 n,
+         const Modulus &mod, u64 *lazy,
+         const simd::Kernels &k = simd::active())
 {
-    simd::active().rowSelMac(acc, run, n, mod);
+    if (!fusedMacOk(mod)) {
+        ive_assert(out != nullptr);
+        for (u64 i = 0; i < run.links; ++i) {
+            for (u64 c = 0; c < run.cols; ++c) {
+                const u64 *d = run.db[i * run.cols + c];
+                k.mulAccVec(out[2 * c], d, run.leafA[i], n, mod);
+                k.mulAccVec(out[2 * c + 1], d, run.leafB[i], n, mod);
+            }
+        }
+        return;
+    }
+    const u64 limit = lazyChainLimit(mod.value());
+    if (out == nullptr) {
+        auditLazyChain(run.links, mod);
+        ive_assert(run.links <= limit);
+        k.rowSelMac(lazy, run, n, mod);
+        return;
+    }
+    for (u64 lo = 0; lo < run.links; lo += limit) {
+        const u64 links = run.links - lo < limit ? run.links - lo : limit;
+        k.rowSelMac(lazy,
+                    {run.db + lo * run.cols, run.leafA + lo,
+                     run.leafB + lo, links, run.cols},
+                    n, mod);
+        for (u64 s = 0; s < 2 * run.cols; ++s)
+            k.lazyReduceAdd(out[s], lazy + s * n, n, mod);
+    }
 }
 
-/** dst[i] = dst[i] + (acc[i] mod q) mod q: a lazy chain's reduction. */
+/** dst[i] = dst[i] + (acc[i] mod q) mod q: a raw chain's reduction. */
 inline void
 lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod)
 {
@@ -313,57 +332,33 @@ mergeLazyPartial(u64 *dst, const u64 *src, u64 n, u64 merged_links,
         dst[i] += src[i];
 }
 
-// --- per-plane MAC-chain dispatch ------------------------------------
+// --- strict per-link shim -------------------------------------------
 //
-// The u128 chain sites (the external product's 2l-row sums, Subs'
-// key-switch sums) share one policy: fused primes accumulate raw u128
-// products and reduce once at the end, strict primes
-// multiply-accumulate canonically into the destination plane as they
-// go. Keeping the dispatch here means a policy change (say, a
-// different fused bound) edits exactly one place. RowSel runs its own
-// u64 lazy chains (rowSelMac above).
+// Kept only until a benchmark change re-points perfbench's
+// poly.mac_chain probe (perfbench/layers.cc) at macChain: the probe's
+// call shapes (with AccLease, poly/workspace.hh), now a strict
+// mulAccVec per link. Nothing in src/ calls these.
 
-/**
- * Prepares a destination plane for a chain: strict primes accumulate
- * into dst, so it must start zeroed (fused primes ignore dst until
- * chainMacFinish). Skip for a plane that already holds the chain's
- * addend — e.g. Subs' b-side, where dst holds the rotated polynomial.
- */
+/** Zeroes dst: the strict chain accumulates into it. */
 inline void
-chainMacBegin(const Modulus &mod, u64 n, u64 *dst)
+chainMacBegin(const Modulus &, u64 n, u64 *dst)
 {
-    if (!fusedMacOk(mod)) {
-        for (u64 i = 0; i < n; ++i)
-            dst[i] = 0;
-    }
+    for (u64 i = 0; i < n; ++i)
+        dst[i] = 0;
 }
 
-/** One chain link: acc (fused) or dst (strict) += a o b. */
+/** One strict link: dst += a o b mod q. */
 inline void
-chainMacAcc(const Modulus &mod, u64 n, u128 *acc, u64 *dst,
-            const u64 *a, const u64 *b)
+chainMacAcc(const Modulus &mod, u64 n, u64 *, u64 *dst, const u64 *a,
+            const u64 *b)
 {
-    if (fusedMacOk(mod))
-        macAccumulate(acc, a, b, n);
-    else
-        mulAccVec(dst, a, b, n, mod);
+    mulAccVec(dst, a, b, n, mod);
 }
 
-/**
- * Ends a chain: fused primes pay their single deferred reduction into
- * dst (`add` accumulates onto dst's existing value instead of
- * overwriting). Strict primes already finished inside chainMacAcc.
- */
+/** Nothing left to do: every link already reduced. */
 inline void
-chainMacFinish(const Modulus &mod, u64 n, const u128 *acc, u64 *dst,
-               bool add)
+chainMacFinish(const Modulus &, u64, const u64 *, u64 *, bool)
 {
-    if (!fusedMacOk(mod))
-        return;
-    if (add)
-        macReduceAdd(dst, acc, n, mod);
-    else
-        macReduce(dst, acc, n, mod);
 }
 
 } // namespace ive::kernels

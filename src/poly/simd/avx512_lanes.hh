@@ -74,17 +74,6 @@ struct Avx512
     {
         return _mm512_maskz_mov_epi64(_mm512_test_epi64_mask(v, v), x);
     }
-
-    static void
-    deinterleave(const u64 *mem, Reg &lo, Reg &hi)
-    {
-        const Reg acc0 = load(mem);
-        const Reg acc1 = load(mem + 8);
-        const Reg idx_lo = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-        const Reg idx_hi = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-        lo = _mm512_permutex2var_epi64(acc0, idx_lo, acc1);
-        hi = _mm512_permutex2var_epi64(acc0, idx_hi, acc1);
-    }
 };
 
 // --- fused small-t NTT tail ------------------------------------------

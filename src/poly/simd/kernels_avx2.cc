@@ -3,7 +3,7 @@
  * AVX2 backend: 4-lane u64 kernels.
  *
  * The kernel bodies are the shared vector_kernels.hh templates; this TU
- * supplies their 4-lane primitives and macAccumulate's carry handling.
+ * supplies only their 4-lane primitives and the table.
  * AVX2 has no 64-bit multiplier, so every 64x64 product is synthesized
  * from 2x32-bit vpmuludq splits (mulHi64/mulLo64 below); values known
  * to be < 2^32 (fused-MAC residues, < 2^32 modulus products) use a
@@ -15,9 +15,8 @@
  * x86-64.
  *
  * Contracts (shared with all backends, see simd.hh):
- *  - macAccumulate and rowSelMac inputs are < 2^32 (the fused-MAC
- *    chain policy only runs below 32-bit moduli)
- *  - macReduce/macReduceAdd accumulators satisfy acc >> 64 < 2^32
+ *  - rowSelMac inputs are < 2^32 (the fused MAC chain only runs below
+ *    32-bit moduli)
  *  - everything produces outputs bit-identical to the scalar backend
  */
 
@@ -107,46 +106,7 @@ struct Avx2
         return _mm256_andnot_si256(
             _mm256_cmpeq_epi64(v, _mm256_setzero_si256()), x);
     }
-
-    static void
-    deinterleave(const u64 *mem, Reg &lo, Reg &hi)
-    {
-        const Reg acc01 = load(mem);
-        const Reg acc23 = load(mem + 4);
-        lo = _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(acc01, acc23),
-                                      0b11011000);
-        hi = _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(acc01, acc23),
-                                      0b11011000);
-    }
 };
-
-void
-macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
-{
-    // acc is interleaved lo/hi pairs in memory (little-endian u128).
-    u64 *mem = reinterpret_cast<u64 *>(acc);
-    const __m256i zero = _mm256_setzero_si256();
-    u64 i = 0;
-    for (; i + Avx2::kLanes <= n; i += Avx2::kLanes) {
-        __m256i p = Avx2::mul32(Avx2::load(a + i), Avx2::load(b + i));
-        // [p0 p1 p2 p3] -> [p0 0 p1 0] and [p2 0 p3 0].
-        __m256i pp = _mm256_permute4x64_epi64(p, 0b11011000);
-        __m256i pe01 = _mm256_unpacklo_epi64(pp, zero);
-        __m256i pe23 = _mm256_unpackhi_epi64(pp, zero);
-        u64 *m0 = mem + 2 * i;
-        __m256i s01 = Avx2::add(Avx2::load(m0), pe01);
-        __m256i s23 = Avx2::add(Avx2::load(m0 + 4), pe23);
-        // Carry out of a lo lane bumps the hi lane one position up
-        // (slli_si256 shifts within each 128-bit half: 0->1, 2->3).
-        __m256i c01 = _mm256_slli_si256(Avx2::ltU64(s01, pe01), 8);
-        __m256i c23 = _mm256_slli_si256(Avx2::ltU64(s23, pe23), 8);
-        // The mask is -1: subtracting it adds the carry.
-        Avx2::store(m0, Avx2::sub(s01, c01));
-        Avx2::store(m0 + 4, Avx2::sub(s23, c23));
-    }
-    if (i < n)
-        scalar::macAccumulate(acc + i, a + i, b + i, n - i);
-}
 
 } // namespace
 
@@ -162,13 +122,8 @@ const Kernels kAvx2Kernels = {
     &vec::mulShoupVec<Avx2>,
     &vec::canonicalizeVec<Avx2>,
     &vec::mulAccVec<Avx2>,
-    &macAccumulate,
-    &vec::macReduce<Avx2, false>,
-    &vec::macReduce<Avx2, true>,
     &vec::rowSelMac<Avx2>,
     &vec::lazyReduceAdd<Avx2>,
-    // No scatter on AVX2: the permutation keeps the scalar loop.
-    &scalar::applyCoeffMap,
 };
 
 } // namespace ive::simd

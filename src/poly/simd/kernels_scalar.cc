@@ -39,19 +39,6 @@ auditBelow(const u64 *a, u64 n, u128 bound, const char *contract)
 #endif
 }
 
-inline void
-auditAccHighWord(const u128 *acc, u64 n, const char *contract)
-{
-#if IVE_RANGE_CHECKS_ENABLED
-    for (u64 i = 0; i < n; ++i)
-        ive_contract((acc[i] >> 64) < kFusedMacModulusBound, contract);
-#else
-    (void)acc;
-    (void)n;
-    (void)contract;
-#endif
-}
-
 // Contract names are part of the tooling surface: test_contracts.cc
 // matches on them, and a checked-build failure report leads with them.
 constexpr const char *kFwdInputContract =
@@ -70,10 +57,6 @@ constexpr const char *kShoupOperandContract =
     "Shoup multiplicand canonicity (b[i] < q)";
 constexpr const char *kVecOperandContract =
     "vector-op operand canonicity (value < q)";
-constexpr const char *kMacOperandContract =
-    "fused-MAC operand below the 2^32 fused bound";
-constexpr const char *kMacHighWordContract =
-    "MAC accumulator high word below 2^32 (deferred Barrett)";
 constexpr const char *kCoeffMapContract =
     "automorphism map position below n";
 
@@ -148,9 +131,10 @@ subVec(u64 *dst, const u64 *src, u64 n, u64 q)
 {
     auditBelow(dst, n, q, kVecOperandContract);
     auditBelow(src, n, q, kVecOperandContract);
+    // Branchless: a select on a >= b mispredicts on random residues.
     for (u64 i = 0; i < n; ++i) {
         u64 a = dst[i], b = src[i];
-        dst[i] = a >= b ? a - b : a + q - b;
+        dst[i] = a - b + (q & (0 - static_cast<u64>(a < b)));
     }
 }
 
@@ -210,39 +194,6 @@ mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n, const Modulus &mod)
 }
 
 void
-macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
-{
-    auditBelow(a, n, kFusedMacModulusBound, kMacOperandContract);
-    auditBelow(b, n, kFusedMacModulusBound, kMacOperandContract);
-    // The acc >> 64 < 2^32 bound is a *reduce-time* contract: raw
-    // accumulation may legally ride past it mid-chain (the carry-corner
-    // suites do, deliberately); macReduce/macReduceAdd audit it where
-    // the deferred Barrett actually depends on it.
-    for (u64 i = 0; i < n; ++i)
-        acc[i] += static_cast<u128>(a[i]) * b[i];
-}
-
-void
-macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    auditAccHighWord(acc, n, kMacHighWordContract);
-    for (u64 i = 0; i < n; ++i)
-        dst[i] = mod.reduce(acc[i]);
-}
-
-void
-macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    auditAccHighWord(acc, n, kMacHighWordContract);
-    auditBelow(dst, n, q, kVecOperandContract);
-    for (u64 i = 0; i < n; ++i) {
-        u64 s = dst[i] + mod.reduce(acc[i]);
-        dst[i] = s >= q ? s - q : s;
-    }
-}
-
-void
 rowSelMac(u64 *acc, const RowSelRun &run, u64 n, const Modulus &mod)
 {
     const u64 q = mod.value();
@@ -296,12 +247,8 @@ const Kernels kScalarKernels = {
     &scalar::mulShoupVec,
     &scalar::canonicalizeVec,
     &scalar::mulAccVec,
-    &scalar::macAccumulate,
-    &scalar::macReduce,
-    &scalar::macReduceAdd,
     &scalar::rowSelMac,
     &scalar::lazyReduceAdd,
-    &scalar::applyCoeffMap,
 };
 
 } // namespace ive::simd

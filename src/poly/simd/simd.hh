@@ -4,8 +4,10 @@
  *
  * IVE's versatile processing element serves NTT butterflies, dyadic
  * MACs and automorphism permutations from one datapath (paper SIII);
- * this layer is the software analogue: one dispatch table routes every
- * hot kernel to the widest vector unit the CPU offers. Three backends:
+ * this layer is the software analogue: one dispatch table routes the
+ * NTTs, the element-wise ops and the one MAC chain to the widest vector
+ * unit the CPU offers (the automorphism permutation is a scalar loop,
+ * kernels::applyCoeffMapVec: a scatter bought nothing). Three backends:
  *
  *  - scalar  : portable reference, bit-for-bit the PR-4 kernels
  *  - avx2    : 4-lane u64 ops; 64x64 products via 2x32-bit vpmuludq
@@ -38,8 +40,7 @@
  * policy — 2^64 companions on avx2/avx512, 52-bit vpmadd52 ones on
  * avx512-ifma — and a hook for the sub-register stages (scalar on
  * avx2, a fused permute tail on AVX-512). What stays per ISA is only
- * what has no common form: macAccumulate's carries and the AVX-512
- * scatter in applyCoeffMap.
+ * the lane types (with the IFMA product policy) and the tables.
  */
 
 #ifndef IVE_POLY_SIMD_SIMD_HH
@@ -71,20 +72,11 @@ const char *isaName(Isa isa);
 // common/contracts.hh).
 
 /**
- * Moduli below this engage the fused MAC chains: canonical products fit
- * 64 bits, so RowSel sums them as raw u64 lanes (rowSelMac) and the
- * u128 chain's vector reducers fold the accumulator high word with one
- * 2^64-mod-q multiply.
+ * Moduli below this engage the fused MAC chain: canonical products fit
+ * 64 bits, so kernels::macChain sums them as raw u64 lanes (rowSelMac)
+ * and reduces once per lazy chain.
  */
 inline constexpr u64 kFusedMacModulusBound = u64{1} << 32;
-
-/**
- * Longest u128 fused chain the deferred-Barrett reducers admit: the
- * accumulator high word must stay below 2^32. Actual chains (2l-row
- * external-product and key-switch sums) are orders of magnitude
- * shorter.
- */
-inline constexpr u64 kFusedMacMaxChain = u64{1} << 32;
 
 /**
  * IFMA 52-bit datapath bound: the lazy butterflies feed operands up to
@@ -97,14 +89,6 @@ static_assert(static_cast<u128>(kFusedMacModulusBound - 1) *
                       (kFusedMacModulusBound - 1) <=
                   ~u64{0},
               "fused-MAC products must fit 64 bits");
-// A maximal chain keeps the accumulator high word below 2^32, the
-// precondition of the vector macReduce kernels.
-static_assert((static_cast<u128>(kFusedMacMaxChain) *
-               (static_cast<u128>(kFusedMacModulusBound - 1) *
-                (kFusedMacModulusBound - 1))) >>
-                      64 <
-                  (u64{1} << 32),
-              "a maximal fused chain must keep acc >> 64 below 2^32");
 // The 52-bit lazy Shoup proof needs its 4q operands inside the
 // vpmadd52 datapath.
 static_assert(static_cast<u128>(4) * (kIfmaModulusBound - 1) <
@@ -125,11 +109,12 @@ struct NttTwiddles
 };
 
 /**
- * One RowSel lazy-chain segment over a single prime: `links` chain
- * links of `cols` (1 or 2) database columns against shared leaf
- * planes. db holds links * cols entry residue planes, link-major
- * (db[i * cols + c]); leafA / leafB hold each link's leaf a / b
- * residue planes.
+ * One MAC chain over a single prime (see kernels::macChain): `links`
+ * links of `cols` (1 or 2) columns against shared key planes. db holds
+ * links * cols planes, link-major (db[i * cols + c]): RowSel's database
+ * entries, or the gadget digits of Subs' key switch (l_ks links) and of
+ * the external product (2l links), with cols = 1. leafA / leafB hold
+ * each link's a / b planes: RowSel's leaves, or the key rows.
  */
 struct RowSelRun
 {
@@ -173,27 +158,14 @@ struct Kernels
     void (*mulAccVec)(u64 *dst, const u64 *a, const u64 *b, u64 n,
                       const Modulus &mod);
 
-    // Fused u128 MAC chain (see poly/kernels.hh for the chain policy).
-    /** acc[i] += a[i] * b[i] as raw u128 sums (no reduction). */
-    void (*macAccumulate)(u128 *acc, const u64 *a, const u64 *b, u64 n);
-    /**
-     * dst[i] = acc[i] mod q. Vector backends assume every chain this
-     * codebase produces: acc[i] >> 64 < 2^32 (at most 2^32 products of
-     * 64-bit values — RowSel columns are D0 long, key-switch sums 2l).
-     */
-    void (*macReduce)(u64 *dst, const u128 *acc, u64 n,
-                      const Modulus &mod);
-    /** dst[i] = dst[i] + (acc[i] mod q) mod q, same contract. */
-    void (*macReduceAdd)(u64 *dst, const u128 *acc, u64 n,
-                         const Modulus &mod);
-
-    // RowSel u64 lazy MAC (see poly/kernels.hh for the chain policy).
+    // The u64 lazy MAC chain (kernels::macChain drives both).
     /**
      * acc[(2c + s) * n + j] = sum over links i of
      * db[i * cols + c][j] * leaf_s[i][j] (s = 0: leafA, 1: leafB) as
      * raw u64 sums, overwriting acc (2 * cols planes of n words).
-     * Each database word is loaded once per link and feeds both sides;
-     * with cols = 2 each leaf load feeds both columns. Operands are
+     * Each db word (database entry or digit) is loaded once per link
+     * and feeds both sides; with cols = 2 each leaf load feeds both
+     * columns. Operands are
      * canonical residues of mod (q < 2^32) and run.links must not
      * exceed kernels::lazyChainLimit(q), so no lane wraps.
      */
@@ -202,17 +174,22 @@ struct Kernels
     /** dst[i] = (dst[i] + (acc[i] mod q)) mod q for any u64 acc[i]. */
     void (*lazyReduceAdd)(u64 *dst, const u64 *acc, u64 n,
                           const Modulus &mod);
-
-    /**
-     * Prime-major automorphism / monomial permutation: for each i,
-     * dst[map[i] >> 1] = (map[i] & 1) ? q - src[i] (0 stays 0)
-     *                                 : src[i],
-     * with map a (pos << 1 | flip) bijection on [0, n) as built by
-     * RnsPoly::automorphismMap. dst must not alias src.
-     */
-    void (*applyCoeffMap)(u64 *dst, const u64 *src, const u64 *map,
-                          u64 n, u64 q);
 };
+
+namespace scalar {
+
+/**
+ * Prime-major automorphism / monomial permutation: for each i,
+ * dst[map[i] >> 1] = (map[i] & 1) ? q - src[i] (0 stays 0)
+ *                                 : src[i],
+ * with map a (pos << 1 | flip) bijection on [0, n) as built by
+ * RnsPoly::automorphismMap. dst must not alias src. Scalar under every
+ * backend: an AVX-512 scatter measured no faster.
+ */
+void applyCoeffMap(u64 *dst, const u64 *src, const u64 *map, u64 n,
+                   u64 q);
+
+} // namespace scalar
 
 /**
  * The backend table for one ISA, or null when this CPU cannot run it

@@ -16,7 +16,6 @@
  *   V::mulLo64 / mulHi64     low / high 64 bits of the 64x64 product
  *   V::addIfLess(d, a, b, q) masked fix: a < b ? d + q : d
  *   V::zeroIfZero(x, v)      masked fix: v == 0 ? 0 : x
- *   V::deinterleave(m, l, h) 2 * kLanes u128 words at m to lo / hi
  *
  * The NTT templates also take a lazy Shoup product policy (Shoup64
  * below, or the 52-bit IFMA one in kernels_avx512ifma.cc) and a tail
@@ -343,40 +342,6 @@ mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n, const Modulus &mod)
         scalar::mulAccVec(dst + i, a + i, b + i, n - i, mod);
 }
 
-/**
- * Kernels::macReduce (kAdd = false) and macReduceAdd (kAdd = true) for
- * q < 2^32 and acc >> 64 < 2^32: acc mod q = (hi * (2^64 mod q) + lo)
- * mod q, the two halves reduced separately so nothing overflows.
- */
-template <class V, bool kAdd>
-void
-macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    constexpr auto scalarKernel =
-        kAdd ? &scalar::macReduceAdd : &scalar::macReduce;
-    const u64 q = mod.value();
-    if (q >= kFusedMacModulusBound) {
-        scalarKernel(dst, acc, n, mod);
-        return;
-    }
-    const u64 *mem = reinterpret_cast<const u64 *>(acc);
-    const auto qv = V::set1(q);
-    const auto mh = V::set1(mod.barrettHi());
-    const auto r64 = V::set1(mod.pow2_64ModQ());
-    const u64 i = forBlocks<V>(n, [&](u64 j) {
-        typename V::Reg lo, hi;
-        V::deinterleave(mem + 2 * j, lo, hi);
-        const auto y = V::mul32(hi, r64); // hi < 2^32, r64 < 2^32
-        auto r = V::csub(
-            V::add(reduce64<V>(lo, mh, qv), reduce64<V>(y, mh, qv)), qv);
-        if constexpr (kAdd)
-            r = V::csub(V::add(V::load(dst + j), r), qv);
-        V::store(dst + j, r);
-    });
-    if (i < n)
-        scalarKernel(dst + i, acc + i, n - i, mod);
-}
-
 template <class V>
 void
 lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod)
@@ -392,19 +357,20 @@ lazyReduceAdd(u64 *dst, const u64 *acc, u64 n, const Modulus &mod)
         scalar::lazyReduceAdd(dst + i, acc + i, n - i, mod);
 }
 
-// --- RowSel u64 lazy MAC ---------------------------------------------
+// --- the u64 lazy MAC chain ------------------------------------------
 //
 // Canonical residues of a q < 2^32 fit the low 32 bits, so every
 // product is one mul32 and every accumulation one add: no carry
-// handling, no reduction until the chain ends (the caller keeps the
-// chain within kernels::lazyChainLimit).
+// handling, no reduction until the chain ends (kernels::macChain keeps
+// each run within kernels::lazyChainLimit). RowSel, Subs' key switch
+// and the external product all run through here.
 
 /**
  * One pass over the whole-register blocks [0, end): link i (and i + 1
- * when kPair) of kCols columns. Each database load feeds the a and b
- * sides, each leaf load feeds every column, and a pair pass adds two
- * products per accumulator round trip. kFirst stores instead of
- * accumulating (the kernel overwrites acc).
+ * when kPair) of kCols columns. Each db load (database entry or
+ * digit) feeds the a and b sides, each leaf load feeds every column,
+ * and a pair pass adds two products per accumulator round trip.
+ * kFirst stores instead of accumulating (the kernel overwrites acc).
  */
 template <class V, u64 kCols, bool kPair, bool kFirst>
 inline void

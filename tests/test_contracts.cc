@@ -136,34 +136,6 @@ TEST(Contracts, VectorAddRejectsNonCanonicalOperand)
                  ContractViolation);
 }
 
-TEST(Contracts, MacAccumulateRejectsOperandAtFusedBound)
-{
-    IVE_REQUIRE_CHECKED_BUILD();
-    std::vector<u128> acc(kN, 0);
-    std::vector<u64> a(kN, 1), b(kN, 1);
-    a[0] = simd::kFusedMacModulusBound; // 2^32: first value outside.
-    EXPECT_THROW(
-        scalarK().macAccumulate(acc.data(), a.data(), b.data(), kN),
-        ContractViolation);
-}
-
-TEST(Contracts, MacReduceRejectsAccumulatorHighWordAtBound)
-{
-    IVE_REQUIRE_CHECKED_BUILD();
-    u64 q = smallPrime();
-    Modulus mod(q);
-    std::vector<u128> acc(kN, 0);
-    std::vector<u64> dst(kN, 0);
-    // acc >> 64 == 2^32 exactly: the deferred Barrett's precondition
-    // (high word < 2^32) no longer holds.
-    acc[1] = static_cast<u128>(simd::kFusedMacModulusBound) << 64;
-    EXPECT_THROW(scalarK().macReduce(dst.data(), acc.data(), kN, mod),
-                 ContractViolation);
-    EXPECT_THROW(
-        scalarK().macReduceAdd(dst.data(), acc.data(), kN, mod),
-        ContractViolation);
-}
-
 namespace {
 
 /** A RowSel run of `links` links of `cols` columns, every operand at
@@ -215,6 +187,25 @@ TEST(Contracts, RowSelMacRejectsChainPastLazyLimit)
         ContractViolation);
 }
 
+TEST(Contracts, MacChainRawModeRejectsChainPastLazyLimit)
+{
+    IVE_REQUIRE_CHECKED_BUILD();
+    // Raw mode (out == nullptr) leaves one unreduced chain: one link
+    // past the limit trips auditLazyChain on every table, before any
+    // kernel runs.
+    u64 q = findNttPrimes(31, kN, 1).at(0);
+    Modulus mod(q);
+    u64 limit = kernels::lazyChainLimit(q);
+    for (const simd::Kernels *k : simd::runnableBackends()) {
+        MaximalRun m(q, limit + 1, 1);
+        std::vector<u64> lazy(2 * kN);
+        EXPECT_THROW(
+            kernels::macChain(nullptr, m.run, kN, mod, lazy.data(), *k),
+            ContractViolation)
+            << k->name;
+    }
+}
+
 TEST(Contracts, RowSelMacCleanAtLazyLimitAndExact)
 {
     IVE_REQUIRE_CHECKED_BUILD();
@@ -257,8 +248,8 @@ TEST(Contracts, CoeffMapRejectsOutOfRangePosition)
     for (u64 &m : map)
         m <<= 1;              // Identity permutation, no flips...
     map[5] = (kN << 1) | 1;   // ...except one position past the ring.
-    EXPECT_THROW(scalarK().applyCoeffMap(dst.data(), src.data(),
-                                         map.data(), kN, q),
+    EXPECT_THROW(simd::scalar::applyCoeffMap(dst.data(), src.data(),
+                                             map.data(), kN, q),
                  ContractViolation);
 }
 
@@ -294,38 +285,20 @@ TEST(Contracts, NttRoundTripCleanAtCornerPrimes)
     }
 }
 
-TEST(Contracts, MaximalFusedChainCleanJustBelowHighWordBound)
+TEST(Contracts, MacChainCleanWithMaximalOperandsPastLazyLimit)
 {
     IVE_REQUIRE_CHECKED_BUILD();
-    // Seed the accumulator at the largest legal high word (2^32 - 1)
-    // and reduce: the audit admits the documented bound exactly.
-    u64 q = smallPrime();
-    Modulus mod(q);
-    std::vector<u128> acc(
-        kN, (static_cast<u128>(simd::kFusedMacModulusBound - 1) << 64) |
-                ~u64{0});
-    std::vector<u64> dst(kN, 0);
-    EXPECT_NO_THROW(
-        scalarK().macReduce(dst.data(), acc.data(), kN, mod));
-    for (u64 v : dst)
-        EXPECT_LT(v, q);
-}
-
-TEST(Contracts, FusedMacChainCleanWithMaximalOperands)
-{
-    IVE_REQUIRE_CHECKED_BUILD();
-    // A long chain of maximal sub-2^32 products stays reducible.
+    // A 1000-link chain of maximal products at a 31-bit prime (limit 4)
+    // reduces chunk by chunk through the audited kernels.
     u64 q = findNttPrimes(31, kN, 1).at(0);
     Modulus mod(q);
-    std::vector<u128> acc(kN, 0);
-    std::vector<u64> a(kN, q - 1), b(kN, q - 1);
-    std::vector<u64> dst(kN, 0);
-    EXPECT_NO_THROW({
-        for (int rep = 0; rep < 1000; ++rep)
-            scalarK().macAccumulate(acc.data(), a.data(), b.data(), kN);
-        scalarK().macReduceAdd(dst.data(), acc.data(), kN, mod);
-    });
+    MaximalRun m(q, 1000, 1);
+    std::vector<u64> dst(2 * kN, 0), lazy(2 * kN);
+    u64 *const out[2] = {dst.data(), dst.data() + kN};
+    EXPECT_NO_THROW(
+        kernels::macChain(out, m.run, kN, mod, lazy.data(), scalarK()));
     // Cross-check one lane against direct modular arithmetic.
     u64 expect = mod.mul(mod.mul(q - 1, q - 1), 1000 % q);
     EXPECT_EQ(dst[0], expect);
+    EXPECT_EQ(dst[kN], expect);
 }

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "modmath/primes.hh"
@@ -141,45 +143,74 @@ TEST(Kernels, FusedMacOkBoundary)
     EXPECT_FALSE(kernels::fusedMacOk(Modulus(above)));
 }
 
-TEST(Kernels, FusedMacChainMatchesStrict)
+TEST(Kernels, MacChainMatchesStrict)
 {
-    // Long chains of maximal residues: the u128 accumulator must agree
-    // with per-product strict reduction after its single deferred
-    // Barrett pass. 4096 * (2^32-1)^2 stays far below 2^128.
+    // macChain on every table against a strict chain reduced per
+    // product, onto a random canonical addend: chains of 1, 7, exactly
+    // lazyChainLimit(q), one past it and 3 * limit + 2 links (chunked),
+    // one and two columns, each with an adversarial first link of
+    // maximal products. Strict primes have limit 0. Raw mode (out ==
+    // nullptr) must leave sums that reduce to the same chain.
     Rng rng(11);
-    const u64 n = 64;
-    for (u64 q : sweepPrimes(n)) {
+    const u64 n = 67; // Not a lane multiple: the vector tails run too.
+    for (u64 q : sweepPrimes(64)) {
         Modulus mod(q);
-        if (!kernels::fusedMacOk(mod))
-            continue;
-        for (u64 chain : {u64{1}, u64{7}, u64{256}, u64{4096}}) {
-            std::vector<u128> acc(n, 0);
-            std::vector<u64> strict(n, 0);
-            for (u64 c = 0; c < chain; ++c) {
-                std::vector<u64> a, b;
-                if (c == 0) {
-                    // Adversarial first link: everything maximal.
-                    a.assign(n, q - 1);
-                    b.assign(n, q - 1);
-                } else {
-                    a = randomCanonical(n, q, rng);
-                    b = randomCanonical(n, q, rng);
+        const u64 limit = kernels::lazyChainLimit(q);
+        std::vector<std::vector<u64>> pool;
+        for (int i = 0; i < 16; ++i)
+            pool.push_back(randomCanonical(n, q, rng));
+        const std::vector<u64> top(n, q - 1);
+        for (u64 links : {u64{1}, u64{7}, limit, limit + 1, 3 * limit + 2}) {
+            for (u64 cols : {u64{1}, u64{2}}) {
+                std::vector<const u64 *> db(links * cols), la(links),
+                    lb(links);
+                for (u64 i = 0; i < links; ++i) {
+                    auto pick = [&](u64 k) {
+                        return i == 0 ? top.data() : pool[k % 16].data();
+                    };
+                    for (u64 c = 0; c < cols; ++c)
+                        db[i * cols + c] = pick(3 * i + c);
+                    la[i] = pick(5 * i + 1);
+                    lb[i] = pick(7 * i + 2);
                 }
-                kernels::macAccumulate(acc.data(), a.data(), b.data(),
-                                       n);
-                kernels::mulAccVec(strict.data(), a.data(), b.data(), n,
-                                   mod);
-            }
-            std::vector<u64> fused(n);
-            kernels::macReduce(fused.data(), acc.data(), n, mod);
-            ASSERT_EQ(fused, strict) << "q=" << q << " chain=" << chain;
+                const simd::RowSelRun run{db.data(), la.data(), lb.data(),
+                                          links, cols};
+                const std::string where = "q=" + std::to_string(q) +
+                                          " links=" + std::to_string(links) +
+                                          " cols=" + std::to_string(cols);
 
-            // macReduceAdd: dst + (acc mod q).
-            std::vector<u64> base = randomCanonical(n, q, rng);
-            std::vector<u64> added = base;
-            kernels::macReduceAdd(added.data(), acc.data(), n, mod);
-            for (u64 i = 0; i < n; ++i)
-                ASSERT_EQ(added[i], mod.add(base[i], fused[i]));
+                std::vector<u64> base = randomCanonical(2 * cols * n, q, rng);
+                std::vector<u64> want = base;
+                for (u64 i = 0; i < links; ++i) {
+                    for (u64 c = 0; c < cols; ++c) {
+                        for (u64 j = 0; j < n; ++j) {
+                            const u64 d = db[i * cols + c][j];
+                            u64 &wa = want[2 * c * n + j];
+                            u64 &wb = want[(2 * c + 1) * n + j];
+                            wa = mod.add(wa, mod.mul(d, la[i][j]));
+                            wb = mod.add(wb, mod.mul(d, lb[i][j]));
+                        }
+                    }
+                }
+
+                for (const simd::Kernels *k : simd::runnableBackends()) {
+                    std::vector<u64> got = base, lazy(2 * cols * n);
+                    std::vector<u64 *> out;
+                    for (u64 s = 0; s < 2 * cols; ++s)
+                        out.push_back(got.data() + s * n);
+                    kernels::macChain(out.data(), run, n, mod, lazy.data(),
+                                      *k);
+                    ASSERT_EQ(got, want) << k->name << " " << where;
+                    if (!kernels::fusedMacOk(mod) || links > limit)
+                        continue;
+                    kernels::macChain(nullptr, run, n, mod, lazy.data(), *k);
+                    std::vector<u64> reduced = base;
+                    for (u64 s = 0; s < 2 * cols; ++s)
+                        k->lazyReduceAdd(reduced.data() + s * n,
+                                         lazy.data() + s * n, n, mod);
+                    ASSERT_EQ(reduced, want) << k->name << " raw " << where;
+                }
+            }
         }
     }
 }

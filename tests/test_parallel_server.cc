@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "bfv/automorphism.hh"
+#include "bfv/rgsw.hh"
 #include "common/thread_pool.hh"
 #include "modmath/primes.hh"
 #include "pir/batch.hh"
@@ -102,7 +104,113 @@ primeParams(const std::vector<u64> &primes, u64 d0, int d)
     return p;
 }
 
+/**
+ * subsInto and externalProductInto checked byte for byte against an
+ * independent strict chain (RnsPoly::mulAccumulate: one mulAccVec per
+ * link, reduced per product) at 1, 3 and 8 threads. The key-switch
+ * chain has ellKs links, the external product's 2 * ellRgsw.
+ */
+void
+expectGadgetChainsMatchStrict(const PirParams &params, u64 seed)
+{
+    ThreadPool::setGlobalThreads(1);
+    HeContext ctx(params.he);
+    const Ring &ring = ctx.ring();
+    Rng rng(seed);
+    SecretKey sk(ctx, rng);
+    BfvCiphertext ct;
+    ct.a = RnsPoly::uniform(ring, rng, Domain::Ntt);
+    ct.b = RnsPoly::uniform(ring, rng, Domain::Ntt);
+    auto zeroCt = [&] {
+        BfvCiphertext z;
+        z.a = RnsPoly(ring, Domain::Ntt);
+        z.b = RnsPoly(ring, Domain::Ntt);
+        return z;
+    };
+    RnsPoly a = ct.a;
+    a.fromNtt(ring);
+    RnsPoly b = ct.b;
+    b.fromNtt(ring);
+
+    const u64 r = 2 * ctx.n() - 1;
+    EvkKey evk = genEvk(ctx, sk, rng, r);
+    BfvCiphertext want_subs = zeroCt();
+    want_subs.b = b.automorphism(ring, r);
+    want_subs.b.toNtt(ring);
+    std::vector<RnsPoly> dk =
+        decomposePoly(ctx, ctx.gadgetKs(), a.automorphism(ring, r));
+    for (size_t k = 0; k < dk.size(); ++k) {
+        want_subs.a.mulAccumulate(ring, dk[k], evk.rows[k].a);
+        want_subs.b.mulAccumulate(ring, dk[k], evk.rows[k].b);
+    }
+
+    RgswCiphertext rgsw = encryptRgswPoly(
+        ctx, sk, rng, RnsPoly::uniform(ring, rng, Domain::Ntt));
+    const size_t ell = static_cast<size_t>(rgsw.ell);
+    BfvCiphertext want_xp = zeroCt();
+    std::vector<RnsPoly> da = decomposePoly(ctx, ctx.gadgetRgsw(), a);
+    std::vector<RnsPoly> db = decomposePoly(ctx, ctx.gadgetRgsw(), b);
+    for (size_t k = 0; k < ell; ++k) {
+        want_xp.a.mulAccumulate(ring, da[k], rgsw.rows[k].a);
+        want_xp.b.mulAccumulate(ring, da[k], rgsw.rows[k].b);
+        want_xp.a.mulAccumulate(ring, db[k], rgsw.rows[ell + k].a);
+        want_xp.b.mulAccumulate(ring, db[k], rgsw.rows[ell + k].b);
+    }
+
+    for (int threads : {1, 3, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        BfvCiphertext got = zeroCt();
+        subsInto(ctx, ct, evk, got, PolyWorkspace::local());
+        EXPECT_TRUE(ctEqual(got, want_subs)) << "subs, " << threads
+                                             << " threads";
+        externalProductInto(ctx, rgsw, ct, got, PolyWorkspace::local());
+        EXPECT_TRUE(ctEqual(got, want_xp))
+            << "external product, " << threads << " threads";
+    }
+    ThreadPool::setGlobalThreads(1);
+}
+
 } // namespace
+
+TEST(ParallelServer, GadgetChainsMatchStrictOnIvePrimes)
+{
+    // The 27/28-bit IVE primes: 9- and 16-link chains, one reduction.
+    expectGadgetChainsMatchStrict(primeParams({kIvePrimes.begin(),
+                                               kIvePrimes.end()},
+                                              16, 2),
+                                  131);
+}
+
+TEST(ParallelServer, GadgetChainsMatchStrictAtThirtyBitLimit)
+{
+    // 30-bit primes admit 16-link lazy chains: the external product's
+    // 2l = 16 links fill one chunk exactly.
+    std::vector<u64> primes = findNttPrimes(30, 256, 4);
+    for (u64 q : primes)
+        ASSERT_EQ(kernels::lazyChainLimit(q), 16u) << "q = " << q;
+    expectGadgetChainsMatchStrict(primeParams(primes, 16, 2), 137);
+}
+
+TEST(ParallelServer, GadgetChainsMatchStrictChunkedOnThirtyOneBitPrimes)
+{
+    // 31-bit primes admit 4-link chains: the key switch runs in three
+    // chunks (4 + 4 + 1), the external product in four.
+    std::vector<u64> primes = findNttPrimes(31, 256, 4);
+    for (u64 q : primes)
+        ASSERT_EQ(kernels::lazyChainLimit(q), 4u) << "q = " << q;
+    expectGadgetChainsMatchStrict(primeParams(primes, 16, 2), 139);
+}
+
+TEST(ParallelServer, GadgetChainsMatchStrictWithStrictPrime)
+{
+    // A prime above 2^32 multiply-accumulates per product beside the
+    // lazy chains of the IVE primes.
+    u64 big = findNttPrimes(33, 256, 1).at(0);
+    expectGadgetChainsMatchStrict(
+        primeParams({kIvePrimes[0], kIvePrimes[1], kIvePrimes[2], big}, 16,
+                    2),
+        149);
+}
 
 TEST(ParallelServer, BatchResponsesIdenticalAtOneAndEightThreads)
 {

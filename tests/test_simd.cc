@@ -202,87 +202,6 @@ TEST(Simd, VectorOpsMatchScalarWithUnalignedTails)
     }
 }
 
-TEST(Simd, MacAccumulateMatchesScalarWithCarryCorners)
-{
-    Rng rng(11);
-    for (u64 n : {u64{4}, u64{9}, u64{64}, u64{1000}}) {
-        // Inputs are < 2^32 by contract (fused-MAC residues).
-        const u64 q32 = (u64{1} << 32) - 5;
-        std::vector<u64> a = randomCanonical(n, q32, rng);
-        std::vector<u64> b = randomCanonical(n, q32, rng);
-        a[0] = q32 - 1;
-        b[0] = q32 - 1; // maximal product
-        std::vector<u128> base(n);
-        for (u64 i = 0; i < n; ++i) {
-            // Adversarial accumulator states: lo word on the brink of
-            // carry, hi word at the 2^32 - 1 contract edge.
-            u128 hi = static_cast<u128>((u64{1} << 32) - 1) << 64;
-            switch (i % 4) {
-            case 0:
-                base[i] = 0;
-                break;
-            case 1:
-                base[i] = ~u64{0};
-                break;
-            case 2:
-                base[i] = hi | ~u64{0};
-                break;
-            default:
-                base[i] = (static_cast<u128>(rng.uniform(u64{1} << 20))
-                           << 64) |
-                          rng.uniform(~u64{0});
-                break;
-            }
-        }
-        for (const simd::Kernels *k : simd::runnableBackends()) {
-            std::vector<u128> got = base, want = base;
-            k->macAccumulate(got.data(), a.data(), b.data(), n);
-            scalarK().macAccumulate(want.data(), a.data(),
-                                               b.data(), n);
-            ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                                     n * sizeof(u128)))
-                << k->name << " n=" << n;
-        }
-    }
-}
-
-TEST(Simd, MacReduceMatchesScalarAcrossPrimeClasses)
-{
-    Rng rng(13);
-    for (u64 n : {u64{3}, u64{8}, u64{11}, u64{512}}) {
-        for (u64 q : sweepPrimes(256)) {
-            const Modulus mod(q);
-            std::vector<u128> acc(n);
-            for (u64 i = 0; i < n; ++i) {
-                // Contract: acc >> 64 < 2^32. Hit the edges.
-                u64 hi = (i % 3 == 0) ? (u64{1} << 32) - 1
-                                      : rng.uniform(u64{1} << 32);
-                u64 lo = (i % 2 == 0) ? ~u64{0} : rng.uniform(~u64{0});
-                acc[i] = (static_cast<u128>(hi) << 64) | lo;
-            }
-            std::vector<u64> dst0 = randomCanonical(n, q, rng);
-            for (const simd::Kernels *k : simd::runnableBackends()) {
-                std::vector<u64> got(n), want(n);
-                k->macReduce(got.data(), acc.data(), n, mod);
-                scalarK().macReduce(want.data(), acc.data(),
-                                               n, mod);
-                ASSERT_EQ(got, want)
-                    << k->name << " reduce n=" << n << " q=" << q;
-                std::vector<u64> gadd = dst0, wadd = dst0;
-                k->macReduceAdd(gadd.data(), acc.data(), n, mod);
-                scalarK().macReduceAdd(wadd.data(),
-                                                  acc.data(), n, mod);
-                ASSERT_EQ(gadd, wadd)
-                    << k->name << " reduceAdd n=" << n << " q=" << q;
-                // The scalar reference itself must agree with the
-                // general 128-bit Barrett.
-                for (u64 i = 0; i < n; ++i)
-                    ASSERT_EQ(want[i], mod.reduce(acc[i]));
-            }
-        }
-    }
-}
-
 TEST(Simd, RowSelMacMatchesScalarAcrossPrimesTailsAndLimit)
 {
     // The u64 lazy RowSel MAC against the scalar reference (itself
@@ -370,28 +289,31 @@ TEST(Simd, RowSelMacMatchesScalarAcrossPrimesTailsAndLimit)
     }
 }
 
-TEST(Simd, ApplyCoeffMapMatchesScalarForRotationsAndMonomials)
+TEST(Simd, ApplyCoeffMapMatchesDefinitionForRotationsAndMonomials)
 {
+    // The permutation is scalar under every backend; pin it against
+    // its definition, flip-of-zero corner included.
     Rng rng(17);
     for (u64 n : {u64{8}, u64{64}, u64{1024}}) {
         for (u64 q : sweepPrimes(n)) {
             std::vector<u64> src = randomCanonical(n, q, rng);
             src[0] = 0;
-            src[n - 1] = 0; // flip-of-zero corner
+            src[n - 1] = 0;
             std::vector<u64> map(n);
             std::vector<u64> rotations = {1, 5, n / 2 + 1, 2 * n - 1};
             for (u64 r : rotations) {
                 RnsPoly::automorphismMap(n, r, map);
                 std::vector<u64> want(n, ~u64{0});
-                scalarK().applyCoeffMap(
-                    want.data(), src.data(), map.data(), n, q);
-                for (const simd::Kernels *k : simd::runnableBackends()) {
-                    std::vector<u64> got(n, ~u64{0});
-                    k->applyCoeffMap(got.data(), src.data(), map.data(),
-                                     n, q);
-                    ASSERT_EQ(got, want) << k->name << " n=" << n
-                                         << " q=" << q << " r=" << r;
+                for (u64 i = 0; i < n; ++i) {
+                    const u64 v = src[i];
+                    want[map[i] >> 1] =
+                        (map[i] & 1) && v != 0 ? q - v : v;
                 }
+                std::vector<u64> got(n, ~u64{0});
+                kernels::applyCoeffMapVec(got.data(), src.data(),
+                                          map.data(), n, q);
+                ASSERT_EQ(got, want) << "n=" << n << " q=" << q
+                                     << " r=" << r;
             }
         }
     }
